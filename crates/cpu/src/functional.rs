@@ -32,12 +32,137 @@ use itpx_mem::CacheLineSnapshot;
 #[cfg(feature = "strict-contracts")]
 use itpx_types::Vpn;
 use itpx_types::{
-    Asid, FillClass, LevelCounts, LevelId, PageSize, PhysAddr, StructCounts, TranslationKind,
-    VirtAddr,
+    Asid, FillClass, LevelCounts, LevelId, PageSize, PhysAddr, SetGrid, SetMask, StructCounts,
+    TranslationKind, VirtAddr,
 };
 use itpx_vm::address_space::AddressSpace;
 use itpx_vm::psc::{namespaced_vpn, tag_asid};
 use itpx_vm::tlb::{LastLevelTlb, TlbConfig, TlbEntry};
+
+/// Set-associative storage of the functional structures: one flat
+/// `sets × ways` slab plus a fill count per set. Each set's live entries
+/// are the prefix of its row, most recently used first; a touch or an
+/// insert rotates that prefix in place, so recency updates never move an
+/// entry across sets and nothing allocates after construction.
+#[derive(Debug)]
+struct MruSets<T> {
+    mask: SetMask,
+    slots: SetGrid<T>,
+    lens: Vec<usize>,
+}
+
+impl<T: Copy> MruSets<T> {
+    /// `sets` empty sets of `ways` slots; `blank` fills unused slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sets` is not a power of two (the production structures
+    /// reject such geometries too).
+    fn new(sets: usize, ways: usize, blank: T) -> Self {
+        Self {
+            mask: SetMask::new(sets),
+            slots: SetGrid::new(sets, ways, blank),
+            lens: vec![0; sets],
+        }
+    }
+
+    fn sets(&self) -> usize {
+        self.lens.len()
+    }
+
+    /// The set a key maps to: its low bits, like the production
+    /// structures.
+    fn set_of(&self, key: u64) -> usize {
+        self.mask.set_of(key)
+    }
+
+    /// The live entries of `set`, MRU first.
+    fn set(&self, set: usize) -> &[T] {
+        // lens[set] <= ways, the row length, by the insert discipline
+        &self.slots.row(set)[..self.lens[set]]
+    }
+
+    /// Every set's live entries, in set order.
+    fn iter(&self) -> impl Iterator<Item = &[T]> + '_ {
+        (0..self.sets()).map(|set| self.set(set))
+    }
+
+    /// Position of the first live entry of `set` matching `hit`.
+    fn find(&self, set: usize, hit: impl Fn(&T) -> bool) -> Option<usize> {
+        self.set(set).iter().position(hit)
+    }
+
+    /// Moves the entry at `pos` of `set` to the front; returns it.
+    fn touch(&mut self, set: usize, pos: usize) -> T {
+        let row = self.slots.row_mut(set);
+        // pos came from find(), so it is below lens[set] <= ways
+        row[..=pos].rotate_right(1);
+        row[0]
+    }
+
+    /// Inserts `entry` as the MRU of `set`, dropping the LRU entry of a
+    /// full set and returning it.
+    fn push_front(&mut self, set: usize, entry: T) -> Option<T> {
+        let len = self.lens[set];
+        let row = self.slots.row_mut(set);
+        let full = len == row.len();
+        let victim = if full { row.last().copied() } else { None };
+        // the rotated span ends at the last live slot of a full set, or
+        // at the first free one, both inside the row
+        row[..len + usize::from(!full)].rotate_right(1);
+        row[0] = entry;
+        if !full {
+            self.lens[set] = len + 1;
+        }
+        victim
+    }
+
+    /// The first live entry of `set` matching `hit`, mutably.
+    fn find_mut(&mut self, set: usize, hit: impl Fn(&T) -> bool) -> Option<&mut T> {
+        let len = self.lens[set];
+        // lens[set] <= ways, the row length, by the insert discipline
+        self.slots.row_mut(set)[..len].iter_mut().find(|e| hit(e))
+    }
+
+    /// Drops the entries of `set` failing `keep`, preserving the order
+    /// of survivors.
+    fn retain_set(&mut self, set: usize, keep: impl Fn(&T) -> bool) {
+        let len = self.lens[set];
+        let row = self.slots.row_mut(set);
+        let mut kept = 0;
+        for i in 0..len {
+            // i < lens[set] <= ways and kept <= i
+            if keep(&row[i]) {
+                row[kept] = row[i];
+                kept += 1;
+            }
+        }
+        self.lens[set] = kept;
+    }
+
+    /// [`Self::retain_set`] over every set.
+    fn retain(&mut self, keep: impl Fn(&T) -> bool) {
+        for set in 0..self.sets() {
+            self.retain_set(set, &keep);
+        }
+    }
+
+    /// Empties every set.
+    fn clear(&mut self) {
+        self.lens.fill(0);
+    }
+
+    /// Every live entry through `f`, each set LRU-first: replaying the
+    /// sequence through an MRU-inserting fill path rebuilds the recency
+    /// order.
+    fn export<U>(&self, f: impl Fn(&T) -> U) -> Vec<U> {
+        let mut out = Vec::with_capacity(self.lens.iter().sum());
+        for set in self.iter() {
+            out.extend(set.iter().rev().map(&f));
+        }
+        out
+    }
+}
 
 /// A TLB modeled as per-set MRU-first lists of [`TlbEntry`] tuples.
 ///
@@ -48,11 +173,8 @@ use itpx_vm::tlb::{LastLevelTlb, TlbConfig, TlbEntry};
 /// membership and eviction order.
 #[derive(Debug)]
 pub struct FunctionalTlb {
-    sets: usize,
-    ways: usize,
-    /// Per-set entries, most recently used first.
-    // itpx-allow: nested-vec reference model optimizes for auditability, not speed
-    lists: Vec<Vec<TlbEntry>>,
+    /// Entries, each set most recently used first.
+    sets: MruSets<TlbEntry>,
     /// The address space lookups currently run under (mirrors the
     /// production TLB's current-ASID register).
     current: Asid,
@@ -63,10 +185,15 @@ pub struct FunctionalTlb {
 impl FunctionalTlb {
     /// Builds an empty TLB with `cfg`'s geometry.
     pub fn new(cfg: &TlbConfig) -> Self {
+        let blank = (
+            0,
+            PageSize::Base4K,
+            PhysAddr::new(0),
+            TranslationKind::Data,
+            Asid::KERNEL,
+        );
         Self {
-            sets: cfg.sets,
-            ways: cfg.ways,
-            lists: vec![Vec::new(); cfg.sets],
+            sets: MruSets::new(cfg.sets, cfg.ways, blank),
             current: Asid::KERNEL,
             stats: StructCounts::default(),
         }
@@ -84,15 +211,12 @@ impl FunctionalTlb {
     pub fn lookup(&mut self, va: VirtAddr, kind: TranslationKind) -> Option<(PhysAddr, PageSize)> {
         for size in [PageSize::Base4K, PageSize::Huge2M] {
             let vpn = va.vpn(size).0;
-            let set = (vpn as usize) % self.sets;
+            let set = self.sets.set_of(vpn);
             let current = self.current;
-            let list = &mut self.lists[set];
-            if let Some(pos) = list
-                .iter()
-                .position(|&(v, s, _, _, a)| v == vpn && s == size && a.matches(current))
-            {
-                let entry = list.remove(pos);
-                list.insert(0, entry);
+            if let Some(pos) = self.sets.find(set, |&(v, s, _, _, a)| {
+                v == vpn && s == size && a.matches(current)
+            }) {
+                let entry = self.sets.touch(set, pos);
                 self.stats.record(Self::stat_class(kind), false);
                 return Some((entry.2, size));
             }
@@ -113,20 +237,17 @@ impl FunctionalTlb {
         kind: TranslationKind,
         asid: Asid,
     ) {
-        let set = (vpn as usize) % self.sets;
-        let list = &mut self.lists[set];
-        if let Some(pos) = list
-            .iter()
-            .position(|&(v, s, _, _, a)| v == vpn && s == size && a.matches(asid))
-        {
-            let entry = list.remove(pos);
-            list.insert(0, entry);
-            return;
+        let set = self.sets.set_of(vpn);
+        match self.sets.find(set, |&(v, s, _, _, a)| {
+            v == vpn && s == size && a.matches(asid)
+        }) {
+            Some(pos) => {
+                self.sets.touch(set, pos);
+            }
+            None => {
+                self.sets.push_front(set, (vpn, size, frame, kind, asid));
+            }
         }
-        if list.len() == self.ways {
-            list.pop();
-        }
-        list.insert(0, (vpn, size, frame, kind, asid));
     }
 
     /// Retargets lookups to `asid` (mirrors `Tlb::set_current_asid`).
@@ -142,9 +263,7 @@ impl FunctionalTlb {
     /// Drops every entry tagged exactly `asid`, preserving the recency
     /// order of survivors (mirrors `Tlb::flush_asid`).
     pub fn flush_asid(&mut self, asid: Asid) {
-        for list in &mut self.lists {
-            list.retain(|&(_, _, _, _, a)| a != asid);
-        }
+        self.sets.retain(|&(_, _, _, _, a)| a != asid);
     }
 
     /// Targeted shootdown of `va` under exactly `asid`, both page sizes
@@ -152,38 +271,32 @@ impl FunctionalTlb {
     pub fn invalidate_page(&mut self, va: VirtAddr, asid: Asid) {
         for size in [PageSize::Base4K, PageSize::Huge2M] {
             let vpn = va.vpn(size).0;
-            let set = (vpn as usize) % self.sets;
-            self.lists[set].retain(|&(v, s, _, _, a)| !(v == vpn && s == size && a == asid));
+            let set = self.sets.set_of(vpn);
+            self.sets.retain_set(set, |&(v, s, _, _, a)| {
+                !(v == vpn && s == size && a == asid)
+            });
         }
     }
 
     /// Drops every entry (any tag) inside the 2 MiB region `region_vpn2m`
     /// (mirrors `Tlb::invalidate_region`).
     pub fn invalidate_region(&mut self, region_vpn2m: u64) {
-        for list in &mut self.lists {
-            list.retain(|&(v, s, _, _, _)| match s {
-                PageSize::Base4K => v >> 9 != region_vpn2m,
-                PageSize::Huge2M => v != region_vpn2m,
-            });
-        }
+        self.sets.retain(|&(v, s, _, _, _)| match s {
+            PageSize::Base4K => v >> 9 != region_vpn2m,
+            PageSize::Huge2M => v != region_vpn2m,
+        });
     }
 
     /// Exports resident entries per set in **LRU-first** order, so
     /// replaying them through a fill path reproduces the recency order.
     pub fn export_entries(&self) -> Vec<TlbEntry> {
-        let mut out = Vec::new();
-        for list in &self.lists {
-            out.extend(list.iter().rev().copied());
-        }
-        out
+        self.sets.export(|&e| e)
     }
 
     /// Replaces contents with `entries`, installing in iteration order
     /// (last entry into a set becomes its MRU). Stats are not touched.
     pub fn import_entries<I: IntoIterator<Item = TlbEntry>>(&mut self, entries: I) {
-        for list in &mut self.lists {
-            list.clear();
-        }
+        self.sets.clear();
         for (vpn, size, frame, kind, asid) in entries {
             self.fill(vpn, size, frame, kind, asid);
         }
@@ -191,17 +304,19 @@ impl FunctionalTlb {
 
     /// Occupancy of the fullest set (used by capacity-invariant tests).
     pub fn max_set_occupancy(&self) -> usize {
-        self.lists.iter().map(Vec::len).max().unwrap_or(0)
+        self.sets.iter().map(<[TlbEntry]>::len).max().unwrap_or(0)
     }
 
     /// Whether a `(vpn, size)` translation visible under the current ASID
     /// is resident, without touching recency or stats.
     pub fn contains(&self, vpn: u64, size: PageSize) -> bool {
-        let set = (vpn as usize) % self.sets;
+        let set = self.sets.set_of(vpn);
         let current = self.current;
-        self.lists[set]
-            .iter()
-            .any(|&(v, s, _, _, a)| v == vpn && s == size && a.matches(current))
+        self.sets
+            .find(set, |&(v, s, _, _, a)| {
+                v == vpn && s == size && a.matches(current)
+            })
+            .is_some()
     }
 }
 
@@ -209,19 +324,14 @@ impl FunctionalTlb {
 #[derive(Debug)]
 pub struct FunctionalPsc {
     level: u8,
-    sets: usize,
-    ways: usize,
-    // itpx-allow: nested-vec reference model optimizes for auditability, not speed
-    lists: Vec<Vec<u64>>,
+    tags: MruSets<u64>,
 }
 
 impl FunctionalPsc {
     fn new(level: u8, sets: usize, ways: usize) -> Self {
         Self {
             level,
-            sets,
-            ways,
-            lists: vec![Vec::new(); sets],
+            tags: MruSets::new(sets, ways, 0),
         }
     }
 
@@ -232,14 +342,13 @@ impl FunctionalPsc {
     /// Probe, touching recency on a hit (the production lookup does).
     pub fn lookup(&mut self, vpn4k: u64) -> bool {
         let tag = self.tag(vpn4k);
-        let set = (tag as usize) % self.sets;
-        let list = &mut self.lists[set];
-        if let Some(pos) = list.iter().position(|&t| t == tag) {
-            let t = list.remove(pos);
-            list.insert(0, t);
-            true
-        } else {
-            false
+        let set = self.tags.set_of(tag);
+        match self.tags.find(set, |&t| t == tag) {
+            Some(pos) => {
+                self.tags.touch(set, pos);
+                true
+            }
+            None => false,
         }
     }
 
@@ -251,31 +360,20 @@ impl FunctionalPsc {
     }
 
     fn install_tag(&mut self, tag: u64) {
-        let set = (tag as usize) % self.sets;
-        let list = &mut self.lists[set];
-        if list.contains(&tag) {
-            return;
+        let set = self.tags.set_of(tag);
+        if self.tags.find(set, |&t| t == tag).is_none() {
+            self.tags.push_front(set, tag);
         }
-        if list.len() == self.ways {
-            list.pop();
-        }
-        list.insert(0, tag);
     }
 
     /// Exports resident tags LRU-first (see the TLB counterpart).
     pub fn export_tags(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        for list in &self.lists {
-            out.extend(list.iter().rev().copied());
-        }
-        out
+        self.tags.export(|&t| t)
     }
 
     /// Replaces contents with raw level tags, installing in order.
     pub fn import_tags<I: IntoIterator<Item = u64>>(&mut self, tags: I) {
-        for list in &mut self.lists {
-            list.clear();
-        }
+        self.tags.clear();
         for tag in tags {
             self.install_tag(tag);
         }
@@ -285,9 +383,7 @@ impl FunctionalPsc {
     /// `PageStructureCache::flush_asid`).
     pub fn flush_asid(&mut self, asid: Asid) {
         let level = self.level;
-        for list in &mut self.lists {
-            list.retain(|&t| tag_asid(t, level) != asid);
-        }
+        self.tags.retain(|&t| tag_asid(t, level) != asid);
     }
 }
 
@@ -382,11 +478,8 @@ struct FunctionalLine {
 #[derive(Debug)]
 pub struct FunctionalLevel {
     id: LevelId,
-    sets: usize,
-    ways: usize,
-    /// Per-set lines, most recently used first.
-    // itpx-allow: nested-vec reference model optimizes for auditability, not speed
-    lists: Vec<Vec<FunctionalLine>>,
+    /// Lines, each set most recently used first.
+    lines: MruSets<FunctionalLine>,
     /// Index of the next-lower level; `None` misses to DRAM.
     next: Option<usize>,
     counts: StructCounts,
@@ -395,19 +488,31 @@ pub struct FunctionalLevel {
 }
 
 impl FunctionalLevel {
-    fn set_of(&self, block: u64) -> usize {
-        (block as usize) % self.sets
+    fn new(id: LevelId, sets: usize, ways: usize, next: Option<usize>) -> Self {
+        let blank = FunctionalLine {
+            block: 0,
+            dirty: false,
+            class: FillClass::DataPayload,
+        };
+        Self {
+            id,
+            lines: MruSets::new(sets, ways, blank),
+            next,
+            counts: StructCounts::default(),
+            writebacks: 0,
+            evictions: 0,
+        }
     }
 
     /// Non-touching residency check (writeback routing uses this).
     pub fn contains(&self, block: u64) -> bool {
-        let set = self.set_of(block);
-        self.lists[set].iter().any(|l| l.block == block)
+        let set = self.lines.set_of(block);
+        self.lines.find(set, |l| l.block == block).is_some()
     }
 
     fn mark_dirty(&mut self, block: u64) {
-        let set = self.set_of(block);
-        if let Some(line) = self.lists[set].iter_mut().find(|l| l.block == block) {
+        let set = self.lines.set_of(block);
+        if let Some(line) = self.lines.find_mut(set, |l| l.block == block) {
             line.dirty = true;
         }
     }
@@ -419,38 +524,35 @@ impl FunctionalLevel {
 
     /// Exports resident lines LRU-first in the mem crate's snapshot form.
     pub fn export_lines(&self) -> Vec<CacheLineSnapshot> {
-        let mut out = Vec::new();
-        for list in &self.lists {
-            out.extend(list.iter().rev().map(|l| (l.block, l.dirty, l.class)));
-        }
-        out
+        self.lines.export(|l| (l.block, l.dirty, l.class))
     }
 
     /// Replaces contents with `lines`, installing MRU-last per set.
     /// Counters are not touched.
     pub fn import_lines<I: IntoIterator<Item = CacheLineSnapshot>>(&mut self, lines: I) {
-        for list in &mut self.lists {
-            list.clear();
-        }
+        self.lines.clear();
         for (block, dirty, class) in lines {
-            let set = self.set_of(block);
-            let list = &mut self.lists[set];
-            if let Some(pos) = list.iter().position(|l| l.block == block) {
-                let line = list.remove(pos);
-                list.insert(0, line);
-                continue;
+            self.install(block, dirty, class);
+        }
+    }
+
+    /// Installs `block` as its set's MRU; a resident block is refreshed
+    /// in place. Returns the line a full set displaced.
+    fn install(&mut self, block: u64, dirty: bool, class: FillClass) -> Option<FunctionalLine> {
+        let set = self.lines.set_of(block);
+        match self.lines.find(set, |l| l.block == block) {
+            Some(pos) => {
+                self.lines.touch(set, pos);
+                None
             }
-            if list.len() == self.ways {
-                list.pop();
-            }
-            list.insert(
-                0,
+            None => self.lines.push_front(
+                set,
                 FunctionalLine {
                     block,
                     dirty,
                     class,
                 },
-            );
+            ),
         }
     }
 }
@@ -478,16 +580,7 @@ impl FunctionalChain {
         let shared = cfg.shared_levels();
         let last = shared.len() - 1;
         let mut levels = Vec::with_capacity(2 + shared.len());
-        let mk = |id, sets: usize, ways: usize, next| FunctionalLevel {
-            id,
-            sets,
-            ways,
-            lists: vec![Vec::new(); sets],
-            next,
-            counts: StructCounts::default(),
-            writebacks: 0,
-            evictions: 0,
-        };
+        let mk = FunctionalLevel::new;
         levels.push(mk(LevelId::L1I, cfg.l1i.sets, cfg.l1i.ways, Some(SHARED)));
         levels.push(mk(LevelId::L1D, cfg.l1d.sets, cfg.l1d.ways, Some(SHARED)));
         for (i, level) in shared.iter().enumerate() {
@@ -506,19 +599,15 @@ impl FunctionalChain {
     /// on a miss the lower levels fill (and route their writebacks)
     /// before this level does.
     pub fn access(&mut self, idx: usize, block: u64, class: FillClass) {
-        let set = self.levels[idx].set_of(block);
-        let pos = self.levels[idx].lists[set]
-            .iter()
-            .position(|l| l.block == block);
-        if let Some(pos) = pos {
-            self.levels[idx].counts.record(class, false);
-            let line = self.levels[idx].lists[set].remove(pos);
-            // itpx-allow: hot-alloc reference model: the set list is bounded by the way count, so this insert shifts a few words and never grows
-            self.levels[idx].lists[set].insert(0, line);
+        let level = &mut self.levels[idx];
+        let set = level.lines.set_of(block);
+        if let Some(pos) = level.lines.find(set, |l| l.block == block) {
+            level.counts.record(class, false);
+            level.lines.touch(set, pos);
             return;
         }
-        self.levels[idx].counts.record(class, true);
-        match self.levels[idx].next {
+        level.counts.record(class, true);
+        match level.next {
             Some(next) => self.access(next, block, class),
             None => self.dram_reads += 1,
         }
@@ -529,39 +618,15 @@ impl FunctionalChain {
 
     /// Installs `block` clean; returns a displaced dirty block.
     fn fill(&mut self, idx: usize, block: u64, class: FillClass) -> Option<u64> {
-        let set = self.levels[idx].set_of(block);
-        let ways = self.levels[idx].ways;
-        let list = &mut self.levels[idx].lists[set];
-        if let Some(pos) = list.iter().position(|l| l.block == block) {
-            // Resident refresh (production `fill` of a present block).
-            let line = list.remove(pos);
-            list.insert(0, line);
-            return None;
+        let level = &mut self.levels[idx];
+        let victim = level.install(block, false, class)?;
+        level.evictions += 1;
+        if victim.dirty {
+            level.writebacks += 1;
+            Some(victim.block)
+        } else {
+            None
         }
-        let mut wb = None;
-        if list.len() == ways {
-            // popped from a full list checked just above
-            let victim = list.pop().unwrap_or(FunctionalLine {
-                block: 0,
-                dirty: false,
-                class,
-            });
-            self.levels[idx].evictions += 1;
-            if victim.dirty {
-                self.levels[idx].writebacks += 1;
-                wb = Some(victim.block);
-            }
-        }
-        // itpx-allow: hot-alloc reference model: the set list is bounded by the way count (a victim was just popped when full), so this insert never grows past it
-        self.levels[idx].lists[set].insert(
-            0,
-            FunctionalLine {
-                block,
-                dirty: false,
-                class,
-            },
-        );
-        wb
     }
 
     /// First strictly-lower level holding the block absorbs the
@@ -810,9 +875,8 @@ impl FunctionalMachine {
                 tr.asid,
             );
             let start_level = self.pscs.start_level(vpn4k);
-            // itpx-allow: hot-alloc reference model: copies at most four (level, pa) pairs to release the page-table borrow before touching the chain
-            let steps = tr.path.from_level(start_level).to_vec();
-            for &(_level, pa) in &steps {
+            let steps = tr.path.from_level(start_level);
+            for &(_level, pa) in steps {
                 self.chain
                     .access(SHARED, pa.block().index(), FillClass::pte_for(kind));
             }

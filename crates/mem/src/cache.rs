@@ -373,7 +373,7 @@ impl Cache {
     /// warm-state snapshot handed across a tier boundary. Statistics and
     /// replacement metadata are not touched.
     pub fn export_lines(&self) -> Vec<CacheLineSnapshot> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.cfg.sets * self.cfg.ways);
         for set in 0..self.cfg.sets {
             let mut mask = self.valid[set];
             while mask != 0 {

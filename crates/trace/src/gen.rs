@@ -18,11 +18,27 @@ const RING_FN_MIN: u64 = 16;
 const RING_FN_MAX: u64 = 48;
 use crate::record::{Branch, MemRef, TraceInst};
 use itpx_types::Rng64;
+use std::sync::Arc;
 
 /// Samples ranks from a Zipf distribution via an explicit CDF.
+///
+/// A draw is the same 53-bit integer `m` behind [`Rng64::f64`]; the rank
+/// is the number of CDF entries below `u = m / 2^53`. A power-of-two
+/// *guide table* indexed by the top bits of `m` bounds that count before
+/// any float is compared: `guide[b]` counts the entries below bucket
+/// `b`'s lower edge, so every `u` in the bucket ranks inside
+/// `guide[b]..=guide[b + 1]` and only that slice of the CDF is searched.
+/// A draw searches at most `log2` of its bucket's entry count, and with a
+/// bucket per 256 ranks that averages below 8 compares for any `n` (far
+/// fewer for Zipf, whose head spreads over many near-empty buckets); the
+/// rank equals a binary search over the whole CDF exactly.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     cdf: Vec<f64>,
+    /// `guide[b]` = CDF entries below `b / 2^k`, for `b` in `0..=2^k`.
+    guide: Vec<u32>,
+    /// `53 - k`: shifts a 53-bit draw down to its bucket.
+    shift: u32,
 }
 
 impl ZipfSampler {
@@ -30,10 +46,11 @@ impl ZipfSampler {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `s < 0`.
+    /// Panics if `n == 0`, `n > u32::MAX`, or `s < 0`.
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(s >= 0.0, "Zipf exponent must be non-negative");
+        assert!(u32::try_from(n).is_ok(), "Zipf rank count must fit in u32");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for k in 1..=n {
@@ -44,7 +61,38 @@ impl ZipfSampler {
         for v in &mut cdf {
             *v /= total;
         }
-        Self { cdf }
+        Self::from_cdf(cdf)
+    }
+
+    /// Wraps a non-decreasing CDF with its guide table: a bucket per 256
+    /// ranks, rounded to a power of two, filled by one forward
+    /// merge of the bucket edges against the CDF. Each edge gallops on
+    /// from where the previous one stopped, so the dense tail of a Zipf
+    /// CDF is crossed in logarithmic steps instead of entry by entry.
+    fn from_cdf(cdf: Vec<f64>) -> Self {
+        let bits = (cdf.len() / 256)
+            .max(1)
+            .next_power_of_two()
+            .trailing_zeros();
+        let shift = 53 - bits;
+        let mut guide = Vec::with_capacity((1 << bits) + 1);
+        let mut below = 0;
+        for b in 0..=(1u64 << bits) {
+            let edge = Rng64::unit_f64(b << shift);
+            // below only ever counts entries of the CDF, so it is <= n
+            let rest = &cdf[below..];
+            let mut step = 1;
+            while rest.get(step - 1).is_some_and(|&c| c < edge) {
+                step *= 2;
+            }
+            // rest[..step / 2] lies below the edge and rest[step - 1], if
+            // any, does not, so the count is in step / 2..=min(step, len)
+            let (lo, hi) = (step / 2, step.min(rest.len()));
+            below += lo + rest[lo..hi].partition_point(|&c| c < edge);
+            // below <= n, which the caller checked fits in u32
+            guide.push(below as u32);
+        }
+        Self { cdf, guide, shift }
     }
 
     /// Number of ranks.
@@ -59,8 +107,21 @@ impl ZipfSampler {
 
     /// Draws a rank in `0..n` (rank 0 is the most popular).
     pub fn sample(&self, rng: &mut Rng64) -> usize {
-        let u = rng.f64();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        self.rank(rng.unit_bits())
+    }
+
+    /// The rank of the 53-bit draw `bits`: the number of CDF entries below
+    /// `u = bits / 2^53`, clamped to the last rank.
+    fn rank(&self, bits: u64) -> usize {
+        let u = Rng64::unit_f64(bits);
+        // bits < 2^53, so the bucket is at most 2^k - 1 and both guide
+        // entries exist (the table holds 2^k + 1)
+        let bucket = (bits >> self.shift) as usize;
+        let lo = self.guide[bucket] as usize;
+        // the guide is non-decreasing and bounded by n, so lo..hi is in range
+        let hi = self.guide[bucket + 1] as usize;
+        let rank = lo + self.cdf[lo..hi].partition_point(|&c| c < u);
+        rank.min(self.cdf.len() - 1)
     }
 }
 
@@ -70,22 +131,32 @@ struct Function {
     len: u32,
 }
 
+/// The immutable half of a generator: code and data layout plus the two
+/// samplers, a pure function of `(seed, profile)`. Generators of one
+/// spec — the live stream and every phase fork — share it.
+#[derive(Debug)]
+struct Layout {
+    seed: u64,
+    /// The packed functions in popularity-rank order: the scrambled
+    /// permutation is applied once here, not on every draw.
+    fn_by_rank: Vec<Function>,
+    fn_zipf: ZipfSampler,
+    data_zipf: ZipfSampler,
+    data_perm: Vec<u32>,
+    /// Code-ring functions (cyclic working set).
+    ring: Vec<Function>,
+}
+
 /// Deterministic instruction-stream generator for one workload.
 ///
 /// Implements [`Iterator`] over [`TraceInst`]; the stream is infinite, so
-/// callers take as many instructions as they need.
-#[derive(Debug)]
+/// callers take as many instructions as they need. Cloning is cheap: the
+/// layout tables are shared, only the execution state is copied.
+#[derive(Debug, Clone)]
 pub struct TraceGenerator {
+    layout: Arc<Layout>,
     profile: Profile,
     rng: Rng64,
-    functions: Vec<Function>,
-    fn_zipf: ZipfSampler,
-    /// Scrambled map from popularity rank to function index.
-    fn_perm: Vec<u32>,
-    data_zipf: ZipfSampler,
-    data_perm: Vec<u32>,
-    /// Code-ring functions (cyclic working set) and the cursor into them.
-    ring: Vec<Function>,
     ring_pos: usize,
     // Execution state.
     cur: Function,
@@ -117,8 +188,9 @@ impl TraceGenerator {
             cursor += len;
         }
         let n = functions.len();
-        let fn_perm = permutation(n, &mut rng);
-        let data_perm = permutation(p.data_pages, &mut rng);
+        shuffle(&mut functions, &mut rng);
+        let mut data_perm: Vec<u32> = (0..p.data_pages as u32).collect();
+        shuffle(&mut data_perm, &mut rng);
         let fn_zipf = ZipfSampler::new(n, p.code_zipf_s);
         let data_zipf = ZipfSampler::new(p.data_pages, p.data_zipf_s);
         // The code ring: one short function at the top of each of its
@@ -131,18 +203,26 @@ impl TraceGenerator {
                 len: rng.range(RING_FN_MIN, RING_FN_MAX) as u32,
             })
             .collect();
-        let first = fn_perm[0] as usize;
-        let cur = functions[first];
-        let start_stream = DATA_BASE + (p.data_pages as u64) * 4096;
-        Self {
-            profile: p,
-            functions,
+        let layout = Layout {
+            seed: spec.seed,
+            fn_by_rank: functions,
             fn_zipf,
-            fn_perm,
             data_zipf,
             data_perm,
-            cur,
             ring,
+        };
+        Self::start(Arc::new(layout), p, rng)
+    }
+
+    /// A generator at the start of `layout`'s stream, drawing execution
+    /// randomness from `rng`.
+    fn start(layout: Arc<Layout>, p: Profile, rng: Rng64) -> Self {
+        let cur = layout.fn_by_rank[0];
+        let start_stream = DATA_BASE + (p.data_pages as u64) * 4096;
+        Self {
+            layout,
+            profile: p,
+            cur,
             ring_pos: 0,
             idx: 0,
             block_end: 0,
@@ -156,37 +236,39 @@ impl TraceGenerator {
 
     /// Number of functions in the code layout.
     pub fn function_count(&self) -> usize {
-        self.functions.len()
+        self.layout.fn_by_rank.len()
     }
 
-    /// Builds a generator over the *same* code/data layout as `spec`
-    /// (identical function packing, permutations, ring, and address
-    /// bands) whose execution-phase randomness is re-seeded by `salt`.
+    /// A generator over this generator's code/data layout (the shared
+    /// function packing, permutations, ring, and address bands), started
+    /// afresh with its execution-phase randomness re-seeded by `salt`.
+    /// The fork depends only on the layout and `salt`, not on how far
+    /// `self` has run.
     ///
     /// The tiered engine uses this as the functional fast-forward's warm
     /// stream: the synthetic source is stationary, so a phase fork is a
     /// distribution-faithful projection of the stream's future over the
     /// exact same virtual address space — without advancing (or paying
     /// for) the real stream the measurement windows consume.
-    pub fn phase_fork(spec: &WorkloadSpec, salt: u64) -> Self {
-        let mut g = Self::new(spec);
-        g.rng = Rng64::new(
-            spec.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    pub fn phase_fork(&self, salt: u64) -> Self {
+        let rng = Rng64::new(
+            self.layout.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
                 ^ 0x7153_7f0c_ca5e_17b7u64.wrapping_add(salt.wrapping_mul(0xd134_2543_de82_ef95)),
         );
-        g
+        Self::start(Arc::clone(&self.layout), self.profile, rng)
     }
 
     /// Picks the next function at a transfer: the cyclic code ring with
     /// probability `ring_ratio`, otherwise a Zipf-sampled scattered one.
     fn pick_function(&mut self) -> Function {
-        if !self.ring.is_empty() && self.rng.chance(self.profile.ring_ratio) {
-            let f = self.ring[self.ring_pos];
-            self.ring_pos = (self.ring_pos + 1) % self.ring.len();
+        let layout = &*self.layout;
+        if !layout.ring.is_empty() && self.rng.chance(self.profile.ring_ratio) {
+            let f = layout.ring[self.ring_pos];
+            self.ring_pos = (self.ring_pos + 1) % layout.ring.len();
             f
         } else {
-            let rank = self.fn_zipf.sample(&mut self.rng);
-            self.functions[self.fn_perm[rank] as usize]
+            let rank = layout.fn_zipf.sample(&mut self.rng);
+            layout.fn_by_rank[rank]
         }
     }
 
@@ -229,8 +311,8 @@ impl TraceGenerator {
             }
             self.stream_addr
         } else {
-            let rank = self.data_zipf.sample(&mut self.rng);
-            let page = self.data_perm[rank] as u64;
+            let rank = self.layout.data_zipf.sample(&mut self.rng);
+            let page = self.layout.data_perm[rank] as u64;
             // A handful of blocks per page keeps the block-level working
             // set above the page-level one (caches feel more pressure
             // than TLBs) without drowning the backend in DRAM latency.
@@ -258,13 +340,13 @@ impl TraceGenerator {
     }
 }
 
-fn permutation(n: usize, rng: &mut Rng64) -> Vec<u32> {
-    let mut v: Vec<u32> = (0..n as u32).collect();
-    for i in (1..n).rev() {
+/// Fisher–Yates shuffle in place. Shuffling `0..n` gives a permutation
+/// `perm`; the same draws shuffle any `v` into `v[perm[i]]` at `i`.
+fn shuffle<T>(v: &mut [T], rng: &mut Rng64) {
+    for i in (1..v.len()).rev() {
         let j = rng.index(i + 1);
         v.swap(i, j);
     }
-    v
 }
 
 impl Iterator for TraceGenerator {
@@ -479,8 +561,9 @@ mod tests {
     #[test]
     fn phase_fork_same_layout_different_sequence() {
         let spec = WorkloadSpec::server_like(3);
-        let base: Vec<TraceInst> = TraceGenerator::new(&spec).take(20_000).collect();
-        let fork: Vec<TraceInst> = TraceGenerator::phase_fork(&spec, 1).take(20_000).collect();
+        let live = TraceGenerator::new(&spec);
+        let base: Vec<TraceInst> = live.clone().take(20_000).collect();
+        let fork: Vec<TraceInst> = live.phase_fork(1).take(20_000).collect();
         assert_ne!(base, fork, "phase fork must explore a different path");
         // Same address space: every forked pc and data page lies in the
         // set of pages the base layout can produce (code region + ring).
@@ -493,10 +576,92 @@ mod tests {
             fork_pages.len()
         );
         // Deterministic per salt.
-        let again: Vec<TraceInst> = TraceGenerator::phase_fork(&spec, 1).take(20_000).collect();
+        let again: Vec<TraceInst> = live.phase_fork(1).take(20_000).collect();
         assert_eq!(fork, again);
-        let other: Vec<TraceInst> = TraceGenerator::phase_fork(&spec, 2).take(20_000).collect();
+        let other: Vec<TraceInst> = live.phase_fork(2).take(20_000).collect();
         assert_ne!(fork, other);
+    }
+
+    /// Reference fork that shares nothing: a freshly built generator for
+    /// `spec` with its execution RNG re-seeded by `salt`.
+    fn rebuilt_fork(spec: &WorkloadSpec, salt: u64) -> TraceGenerator {
+        let mut g = TraceGenerator::new(spec);
+        g.rng = Rng64::new(
+            spec.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                ^ 0x7153_7f0c_ca5e_17b7u64.wrapping_add(salt.wrapping_mul(0xd134_2543_de82_ef95)),
+        );
+        g
+    }
+
+    #[test]
+    fn shared_layout_forks_match_rebuilt_forks() {
+        let base = [WorkloadSpec::server_like(11), WorkloadSpec::spec_like(12)];
+        let specs = base.iter().flat_map(|s| (0..3).map(move |t| s.tenant(t)));
+        for spec in specs {
+            let mut live = TraceGenerator::new(&spec);
+            // How far the live stream has run must not matter to a fork.
+            live.by_ref().take(1_000).for_each(drop);
+            for salt in [0, 1, 7, u64::MAX] {
+                let fork = live.phase_fork(salt);
+                assert!(
+                    Arc::ptr_eq(&fork.layout, &live.layout),
+                    "fork copied the layout"
+                );
+                let got: Vec<TraceInst> = fork.take(20_000).collect();
+                let want: Vec<TraceInst> = rebuilt_fork(&spec, salt).take(20_000).collect();
+                assert_eq!(got, want, "{} salt {salt}", spec.name);
+            }
+        }
+    }
+
+    /// The rank a full binary search over the CDF returns.
+    fn reference_rank(z: &ZipfSampler, bits: u64) -> usize {
+        let u = Rng64::unit_f64(bits);
+        z.cdf.partition_point(|&c| c < u).min(z.cdf.len() - 1)
+    }
+
+    #[test]
+    fn guide_table_ranks_equal_full_binary_search() {
+        const DRAWS: u64 = 1_000_000;
+        for n in [1, 2, 3, 1000, 24_576, 30_755] {
+            for s in [0.0, 0.9, 1.25, 1.6] {
+                let z = ZipfSampler::new(n, s);
+                let mut rng = Rng64::new(n as u64 ^ s.to_bits());
+                for _ in 0..DRAWS {
+                    let bits = rng.unit_bits();
+                    assert_eq!(z.rank(bits), reference_rank(&z, bits), "n={n} s={s}");
+                }
+                // Every bucket edge, one draw either side of it, and the
+                // draws around each CDF entry.
+                let last = (1u64 << 53) - 1;
+                let edges = (0..=1u64 << (53 - z.shift)).map(|b| b << z.shift);
+                let entries = z.cdf.iter().map(|&c| (c * (1u64 << 53) as f64) as u64);
+                for centre in edges.chain(entries) {
+                    for bits in [centre.saturating_sub(1), centre, centre + 1] {
+                        let bits = bits.min(last);
+                        assert_eq!(z.rank(bits), reference_rank(&z, bits), "n={n} s={s}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn draws_above_the_last_cdf_entry_clamp_to_the_last_rank() {
+        // A CDF that stops short of 1 (the normalized Zipf CDF ends at
+        // exactly 1, so only a hand-built one reaches the clamp).
+        let z = ZipfSampler::from_cdf(vec![0.25, 0.5, 0.5, 0.75]);
+        for u in [0.75, 0.8, 0.999] {
+            let bits = (u * (1u64 << 53) as f64) as u64;
+            assert_eq!(z.rank(bits), 3);
+            assert_eq!(z.rank(bits), reference_rank(&z, bits));
+        }
+        assert_eq!(z.rank((1 << 53) - 1), 3);
+        assert_eq!(
+            z.rank(1 << 52),
+            1,
+            "u = 0.5 ranks at the first of two tied entries"
+        );
     }
 
     #[test]

@@ -456,6 +456,16 @@ impl WorkloadSpec {
         }
     }
 
+    /// Tenant `t`'s workload in a multi-tenant run: the same statistical
+    /// shape with the layout re-seeded, so every tenant runs over its own
+    /// concrete pages (tenant 0 keeps the spec verbatim — its stream IS
+    /// the original one).
+    pub fn tenant(&self, t: u16) -> Self {
+        let mut s = self.clone();
+        s.seed = self.seed ^ u64::from(t).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        s
+    }
+
     /// A SPEC-like workload.
     pub fn spec_like(seed: u64) -> Self {
         let mut p = Profile::spec();

@@ -10,6 +10,8 @@
 //! * [`grid`] — flat set-associative storage ([`SetGrid`]) and
 //!   power-of-two mask set selection ([`SetMask`]), the shared data
 //!   layout for tag arrays, policy metadata, and predictor tables.
+//! * [`hash`] — a fixed, fast hasher ([`WordHasher`]) for the
+//!   simulator's own integer-keyed maps.
 //! * [`page`] — page sizes and virtual-page-number arithmetic for the
 //!   4 KiB / 2 MiB pages used in the evaluation.
 //! * [`rng`] — a small deterministic PRNG so every simulation is exactly
@@ -34,6 +36,7 @@ pub mod access;
 pub mod addr;
 pub mod fingerprint;
 pub mod grid;
+pub mod hash;
 pub mod mshr;
 pub mod page;
 pub mod rng;
@@ -43,6 +46,7 @@ pub use access::{AccessKind, FillClass, TranslationKind};
 pub use addr::{BlockAddr, PhysAddr, VirtAddr, Vpn, BLOCK_BYTES, BLOCK_SHIFT};
 pub use fingerprint::{Fingerprint, Fnv1a};
 pub use grid::{SetGrid, SetMask};
+pub use hash::{BuildWordHasher, WordHasher};
 pub use mshr::SlotPool;
 pub use page::PageSize;
 pub use rng::Rng64;

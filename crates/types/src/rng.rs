@@ -73,10 +73,25 @@ impl Rng64 {
         self.below(bound as u64) as usize
     }
 
-    /// Uniform float in `[0, 1)`.
+    /// Uniform integer in `[0, 2^53)`: the draw behind [`Rng64::f64`],
+    /// which returns exactly `Rng64::unit_f64(bits)`. Samplers that bucket
+    /// a uniform draw index by its top bits and still compare the float.
+    #[inline]
+    pub fn unit_bits(&mut self) -> u64 {
+        self.next_u64() >> 11
+    }
+
+    /// The float `bits / 2^53` for a [`Rng64::unit_bits`] draw; exact,
+    /// since both factors are representable and the scale is a power of two.
     // itpx-allow: hot-float deterministic 53-bit mantissa conversion of a seeded integer stream; bit-exact on every IEEE-754 target
+    #[inline]
+    pub fn unit_f64(bits: u64) -> f64 {
+        bits as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Uniform float in `[0, 1)`.
     pub fn f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        Self::unit_f64(self.unit_bits())
     }
 
     /// `true` with probability `p` (clamped to `[0, 1]`).

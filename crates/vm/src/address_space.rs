@@ -15,7 +15,7 @@
 //! [`Asid::KERNEL`] — byte-identical to pre-multi-tenant behavior.
 
 use crate::page_table::{HugePagePolicy, PageTable, Translation};
-use itpx_types::{Asid, PageSize, Rng64, TranslationKind, VirtAddr};
+use itpx_types::{Asid, BuildWordHasher, PageSize, Rng64, TranslationKind, VirtAddr};
 use std::collections::HashMap;
 
 /// Physical-region stride separating tenant address spaces: each tenant's
@@ -45,7 +45,7 @@ pub struct AddressSpace {
     global_seed: u64,
     /// Global/private decision per 2 MiB region, cached at first touch
     /// (the decision itself is a pure function of region and seed).
-    region_global: HashMap<u64, bool>,
+    region_global: HashMap<u64, bool, BuildWordHasher>,
     /// The tenant lookups currently translate under.
     current: Asid,
 }
@@ -61,7 +61,7 @@ impl AddressSpace {
             shared: None,
             global_fraction: 0.0,
             global_seed: 0,
-            region_global: HashMap::new(),
+            region_global: HashMap::default(),
             current: Asid::KERNEL,
         }
     }
@@ -106,7 +106,7 @@ impl AddressSpace {
             shared,
             global_fraction,
             global_seed,
-            region_global: HashMap::new(),
+            region_global: HashMap::default(),
             current: Asid::KERNEL,
         }
     }

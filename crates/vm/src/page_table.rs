@@ -13,7 +13,7 @@
 //! blocks spread over cache sets as they would on a long-lived server.
 
 use itpx_types::fingerprint::{Fingerprint, Fnv1a};
-use itpx_types::{Asid, PageSize, PhysAddr, Rng64, TranslationKind, VirtAddr};
+use itpx_types::{Asid, BuildWordHasher, PageSize, PhysAddr, Rng64, TranslationKind, VirtAddr};
 use std::collections::HashMap;
 
 /// Number of tree levels (x86-64 5-level paging: PML5 → PT).
@@ -243,13 +243,13 @@ pub struct PageTable {
     allocator: FrameAllocator,
     huge: HugePagePolicy,
     /// (level, vpn_prefix) → node frame base.
-    nodes: HashMap<(u8, u64), PhysAddr>,
+    nodes: HashMap<(u8, u64), PhysAddr, BuildWordHasher>,
     /// 4 KiB leaf mappings: vpn4k → frame.
-    map4k: HashMap<u64, PhysAddr>,
+    map4k: HashMap<u64, PhysAddr, BuildWordHasher>,
     /// 2 MiB leaf mappings: vpn2m → frame.
-    map2m: HashMap<u64, PhysAddr>,
+    map2m: HashMap<u64, PhysAddr, BuildWordHasher>,
     /// Huge/base decision per 2 MiB region, fixed at first touch.
-    region_huge: HashMap<u64, bool>,
+    region_huge: HashMap<u64, bool, BuildWordHasher>,
 }
 
 impl PageTable {
@@ -264,10 +264,10 @@ impl PageTable {
         Self {
             allocator: FrameAllocator::with_region_offset(24, seed, region_offset),
             huge,
-            nodes: HashMap::new(),
-            map4k: HashMap::new(),
-            map2m: HashMap::new(),
-            region_huge: HashMap::new(),
+            nodes: HashMap::default(),
+            map4k: HashMap::default(),
+            map2m: HashMap::default(),
+            region_huge: HashMap::default(),
         }
     }
 

@@ -131,7 +131,7 @@ impl PageStructureCache {
     /// Exports resident tags per set in **LRU-first** order, so replaying
     /// them through the fill path reproduces the recency ordering.
     pub fn export_tags(&self) -> Vec<u64> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.tags.sets() * self.tags.width());
         for set in 0..self.tags.sets() {
             for way in self.policy.stack().iter_lru_to_mru(set) {
                 if let Some(tag) = self.tags.row(set)[way] {

@@ -504,7 +504,7 @@ impl Tlb {
     /// warm-state snapshot handed to the functional tier at a boundary.
     /// Statistics and replacement metadata are not touched.
     pub fn export_entries(&self) -> Vec<TlbEntry> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.cfg.sets * self.cfg.ways);
         for set in 0..self.cfg.sets {
             let mut mask = self.valid[set];
             while mask != 0 {
