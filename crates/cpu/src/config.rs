@@ -6,6 +6,10 @@ use itpx_types::fingerprint::{Fingerprint, Fnv1a};
 use itpx_vm::page_table::HugePagePolicy;
 use itpx_vm::tlb::TlbConfig;
 
+/// Largest FDIP depth: the engine nominates at most this many blocks per
+/// new fetch block.
+pub const FDIP_MAX_DEPTH: usize = 16;
+
 /// Full machine configuration.
 ///
 /// [`SystemConfig::asplos25`] reproduces Table 1; the `with_*` helpers
@@ -36,7 +40,8 @@ pub struct SystemConfig {
     /// Concurrent page walks supported by the walker (Table 1: 4... "1
     /// page walk / cycle" issue with 4 in flight).
     pub walker_concurrency: usize,
-    /// Distinct upcoming fetch blocks the FDIP prefetcher runs ahead.
+    /// Distinct upcoming fetch blocks the FDIP prefetcher runs ahead
+    /// (0 disables it; at most [`FDIP_MAX_DEPTH`]).
     pub fdip_depth: usize,
     /// Huge-page allocation policy (Section 6.5 sweeps this).
     pub huge_pages: HugePagePolicy,
@@ -151,6 +156,10 @@ impl SystemConfig {
         assert!(self.rob_entries >= 16, "ROB too small");
         assert!(self.ftq_entries >= 8, "FTQ too small");
         assert!(self.walker_concurrency > 0, "walker needs a slot");
+        assert!(
+            self.fdip_depth <= FDIP_MAX_DEPTH,
+            "FDIP depth above {FDIP_MAX_DEPTH}"
+        );
         if self.split_stlb {
             assert!(
                 self.stlb.sets.is_multiple_of(2),
@@ -230,6 +239,14 @@ mod tests {
     #[should_panic(expected = "multiple of 4")]
     fn bad_itlb_entries_panics() {
         let _ = SystemConfig::asplos25().with_itlb_entries(10);
+    }
+
+    #[test]
+    #[should_panic(expected = "FDIP depth above 16")]
+    fn fdip_depth_beyond_the_nomination_slots_panics() {
+        let mut c = SystemConfig::asplos25();
+        c.fdip_depth = FDIP_MAX_DEPTH + 1;
+        c.validate();
     }
 
     #[test]

@@ -26,12 +26,13 @@
 //!   simulated time.
 
 use crate::branch::HashedPerceptron;
+use crate::config::FDIP_MAX_DEPTH;
 use crate::functional::FunctionalMachine;
 use crate::output::{LevelReport, SimulationOutput, ThreadOutput, WalkerSummary};
 use crate::system::System;
 use itpx_trace::{
-    ContextSchedule, InstructionStream, SwitchPolicy, TierSchedule, TraceGenerator, TraceInst,
-    WorkloadSource, WorkloadSpec,
+    ContextSchedule, HelperStream, InstructionStream, SwitchPolicy, TierSchedule, TraceGenerator,
+    TraceInst, WorkloadSource, WorkloadSpec,
 };
 use itpx_types::{
     Asid, Cycle, LevelId, PageSize, ResetBoundary, ThreadId, TranslationKind, VirtAddr,
@@ -57,9 +58,11 @@ const FF_WARM_CAP: u64 = 250_000;
 /// program state through the functional machine (plus the free skip
 /// beyond [`FF_WARM_CAP`]), and [`Tier::Window`] measures
 /// cycle-accurately. Measured with `perfbench --trace 1` on a 2-vCPU
-/// x86-64 host, the functional tier costs ~70 ns per instruction
-/// (`cpu.functional.ns_per_inst`, tiered-tenants) and the cycle tier
-/// ~400 ns (1 / `host.sim_ips_raw`, server-flat), about 5.7× apart.
+/// x86-64 host, the functional tier costs ~60 ns per instruction (45–75
+/// ns over six runs; `cpu.functional.ns_per_inst`, tiered-tenants) and
+/// the cycle tier ~340 ns (1 / `host.sim_ips_raw`, server-flat), about
+/// 5.7× apart; neither figure includes instruction synthesis, which
+/// runs on a helper thread.
 /// [`Tier::segments`] lowers a [`TierSchedule`] into this form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
@@ -224,6 +227,8 @@ struct ThreadPipe {
     /// Tenant streams start as clones and fast-forward segments
     /// phase-fork them, so each tenant's layout is built once per run.
     origins: Vec<TraceGenerator>,
+    /// The instruction supply: a synthetic stream is generated ahead on
+    /// a helper thread ([`HelperStream`]); a replay runs inline.
     stream: Box<dyn InstructionStream>,
     lookahead: VecDeque<TraceInst>,
     bp: HashedPerceptron,
@@ -254,7 +259,7 @@ struct ThreadPipe {
 }
 
 impl ThreadPipe {
-    fn new(source: WorkloadSource, id: ThreadId, rob_size: usize) -> Self {
+    fn new(source: WorkloadSource, id: ThreadId, rob_size: usize, ftq_entries: usize) -> Self {
         let name = source.name().to_string();
         let warmup = source.warmup();
         let (spec, origins) = match &source {
@@ -275,11 +280,19 @@ impl ThreadPipe {
         } else {
             warmup + tiers.measured_instructions()
         };
+        // Without context switches the pipe steps exactly `target` times
+        // and keeps `ftq_entries` instructions looked ahead, which bounds
+        // its draws; a switch discards the lookahead, so tenants have no
+        // bound.
+        let limit = match &spec {
+            Some(s) if s.contexts.is_flat() => target + ftq_entries as u64,
+            _ => u64::MAX,
+        };
         Self {
             id,
             name,
             stream: match origins.first() {
-                Some(g) => Box::new(g.clone()),
+                Some(g) => Box::new(HelperStream::spawn(g.clone(), limit)),
                 None => source.into_stream(),
             },
             spec,
@@ -369,10 +382,11 @@ impl Engine {
             "1 or 2 hardware threads supported"
         );
         let rob_per_thread = system.config.rob_entries / sources.len();
+        let ftq = system.config.ftq_entries;
         let threads: Vec<ThreadPipe> = sources
             .into_iter()
             .enumerate()
-            .map(|(i, s)| ThreadPipe::new(s, ThreadId(i as u8), rob_per_thread))
+            .map(|(i, s)| ThreadPipe::new(s, ThreadId(i as u8), rob_per_thread, ftq))
             .collect();
         let mut system = system;
         let contexts = threads[0]
@@ -396,7 +410,12 @@ impl Engine {
                 .origins
                 .iter()
                 .enumerate()
-                .map(|(t, g)| (t > 0).then(|| Box::new(g.clone()) as Box<dyn InstructionStream>))
+                .map(|(t, g)| {
+                    (t > 0).then(|| {
+                        Box::new(HelperStream::spawn(g.clone(), u64::MAX))
+                            as Box<dyn InstructionStream>
+                    })
+                })
                 .collect();
             Some(ContextState {
                 schedule: contexts,
@@ -471,21 +490,21 @@ impl Engine {
             } else {
                 let mut seen = block;
                 let mut depth = 0usize;
-                let mut nominations: [u64; 16] = [u64::MAX; 16];
+                let mut nominations: [u64; FDIP_MAX_DEPTH] = [u64::MAX; FDIP_MAX_DEPTH];
                 for la in t.lookahead.iter() {
+                    if depth >= cfg.fdip_depth {
+                        break;
+                    }
                     let b = (la.pc + t.va_offset) >> 6;
                     if b != seen {
                         seen = b;
                         let slot = (b as usize) & 63;
                         if t.recent_pf[slot] != b {
                             t.recent_pf[slot] = b;
-                            // .min(15) clamps into the 16-slot array
-                            nominations[depth.min(15)] = b;
+                            // depth < fdip_depth <= FDIP_MAX_DEPTH (validated)
+                            nominations[depth] = b;
                         }
                         depth += 1;
-                        if depth >= cfg.fdip_depth {
-                            break;
-                        }
                     }
                 }
                 for &b in nominations.iter().filter(|&&b| b != u64::MAX) {
@@ -612,11 +631,13 @@ impl Engine {
         // One phase-forked warm stream per tenant (a single one when the
         // run is single-tenant): the schedule keeps firing through the
         // fast-forward so both tiers see switches at the same program
-        // points. Forks share their tenant's layout.
-        let mut gens: Vec<TraceGenerator> = self.threads[ti]
+        // points. Forks share their tenant's layout, run on helper
+        // threads, and are joined when the segment ends; none is drawn
+        // more than the warm tail.
+        let mut gens: Vec<HelperStream> = self.threads[ti]
             .origins
             .iter()
-            .map(|g| g.phase_fork(salt))
+            .map(|g| HelperStream::spawn(g.phase_fork(salt), warm))
             .collect();
         // The free skip advances the schedule clock too: switch
         // boundaries crossed inside it still rotate tenants (and flush,
@@ -690,6 +711,9 @@ impl Engine {
     }
 
     /// Runs warmup and measurement, returning the collected results.
+    ///
+    /// Consumes the engine, so every stream helper thread is joined
+    /// before this returns.
     pub fn run(mut self, preset: &str, llc_policy: &str) -> SimulationOutput {
         let smt = self.threads.len() == 2;
         // Phase 1: warm every thread up, interleaved by simulated time.

@@ -74,3 +74,26 @@ proptest! {
         );
     }
 }
+
+/// `fdip_depth = 0` turns FDIP off: no block is nominated, so the run
+/// differs from depth 1 and the L1I serves fewer demand hits.
+#[test]
+fn fdip_depth_zero_disables_the_prefetcher() {
+    let spec = WorkloadSpec::server_like(5)
+        .instructions(80_000)
+        .warmup(20_000);
+    let run = |depth: usize| {
+        let mut cfg = SystemConfig::asplos25();
+        cfg.fdip_depth = depth;
+        Simulation::single_thread(&cfg, Preset::Lru, &spec).run()
+    };
+    let (off, one) = (run(0), run(1));
+    assert_ne!(off, one, "depth 0 must not behave as depth 1");
+    let hits = |o: &itpx_cpu::SimulationOutput| o.l1i.accesses() - o.l1i.misses();
+    assert!(
+        hits(&off) < hits(&one),
+        "without FDIP the L1I must serve fewer hits: {} vs {}",
+        hits(&off),
+        hits(&one)
+    );
+}

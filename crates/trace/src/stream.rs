@@ -4,6 +4,8 @@
 use crate::gen::TraceGenerator;
 use crate::profile::WorkloadSpec;
 use crate::record::TraceInst;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread::JoinHandle;
 
 /// An endless source of dynamic instructions for one hardware thread.
 ///
@@ -67,6 +69,184 @@ impl InstructionStream for TraceLoop {
         let inst = self.insts[self.pos];
         self.pos = (self.pos + 1) % self.insts.len();
         inst
+    }
+}
+
+/// Instructions per chunk a [`HelperStream`] hands over at once.
+pub const HELPER_CHUNK: usize = 512;
+
+/// Drained chunks a [`HelperStream`] returns to its helper at once. The
+/// helper sleeps between batches, so it is woken once per
+/// `HELPER_BATCH × chunk` instructions. Two batches circulate besides
+/// the chunk being consumed: at most `(2 × HELPER_BATCH + 1) × chunk`
+/// instructions exist per stream.
+pub const HELPER_BATCH: usize = 4;
+
+/// Empty chunk buffers travelling back to the helper together.
+type Batch = [Vec<TraceInst>; HELPER_BATCH];
+
+/// An [`InstructionStream`] produced on a helper thread.
+///
+/// The helper owns the source and fills fixed-size chunks of
+/// [`TraceInst`] ahead of the consumer, sending each through a channel
+/// as soon as it is full. The consumer collects drained chunks and hands
+/// them back a batch at a time, so the helper wakes once per batch, not
+/// once per chunk: on a loaded host every wake-up preempts a simulation
+/// thread. Steady state allocates nothing, and every buffer is allocated
+/// on the consumer's thread. The source runs exactly as it would inline,
+/// on another core, so the consumer sees the same sequence.
+///
+/// Dropping the stream disconnects both channels and joins the helper.
+/// A panic in the source surfaces as a panic of the consumer's next
+/// refill, carrying the source's panic message.
+pub struct HelperStream {
+    chunk: Vec<TraceInst>,
+    pos: usize,
+    /// Drained chunks not yet handed back; the first `spares` are set.
+    spare: Batch,
+    spares: usize,
+    filled: Receiver<Vec<TraceInst>>,
+    drained: SyncSender<Batch>,
+    // Declared after both channel ends: fields drop in order, so the
+    // helper sees the disconnect before `Helper::drop` joins it.
+    helper: Helper,
+}
+
+impl HelperStream {
+    /// Moves `source` onto a helper thread with the default chunk length.
+    /// The consumer may draw at most `limit` instructions (`u64::MAX`
+    /// for no bound); the helper produces no more than that, so it never
+    /// runs past the end of a run.
+    pub fn spawn(source: impl InstructionStream + 'static, limit: u64) -> Self {
+        Self::with_chunk(source, limit, HELPER_CHUNK)
+    }
+
+    /// Moves `source` onto a helper thread that hands over `chunk`
+    /// instructions at a time, [`HelperStream::spawn`] otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk` is zero or the helper thread cannot be spawned.
+    /// Drawing more than `limit` instructions panics.
+    pub fn with_chunk(
+        mut source: impl InstructionStream + 'static,
+        limit: u64,
+        chunk: usize,
+    ) -> Self {
+        assert!(chunk > 0, "helper chunks hold at least one instruction");
+        // Neither channel can fill: only 2 × HELPER_BATCH + 1 buffers exist.
+        let (filled_tx, filled) = sync_channel::<Vec<TraceInst>>(2 * HELPER_BATCH);
+        let (drained, drained_rx) = sync_channel::<Batch>(2);
+        for _ in 0..2 {
+            // The receiver is alive and the queue holds two batches.
+            let _ = drained.send(std::array::from_fn(|_| Vec::with_capacity(chunk)));
+        }
+        let thread = std::thread::Builder::new()
+            .name("itpx-stream".to_string())
+            .spawn(move || {
+                let mut left = limit;
+                // Ends at the limit or when the consumer hangs up on
+                // either channel.
+                while let Ok(batch) = drained_rx.recv() {
+                    for mut buf in batch {
+                        let n = usize::try_from(left).map_or(chunk, |left| left.min(chunk));
+                        if n == 0 {
+                            return;
+                        }
+                        left -= n as u64;
+                        buf.clear();
+                        buf.extend(std::iter::repeat_with(|| source.next_inst()).take(n));
+                        if filled_tx.send(buf).is_err() {
+                            return;
+                        }
+                    }
+                }
+            })
+            // There is no inline fallback: a host that cannot start a
+            // thread cannot run the simulator.
+            .expect("spawn instruction-stream helper");
+        Self {
+            chunk: Vec::with_capacity(chunk),
+            pos: 0,
+            spare: Batch::default(),
+            spares: 0,
+            filled,
+            drained,
+            helper: Helper(Some(thread)),
+        }
+    }
+
+    /// Sets the drained chunk aside (handing a full batch back to the
+    /// helper) and takes the next filled one, waiting for it if the
+    /// helper is behind.
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self) {
+        // spares < HELPER_BATCH: it is reset whenever it reaches it
+        self.spare[self.spares] = std::mem::take(&mut self.chunk);
+        self.spares += 1;
+        if self.spares == HELPER_BATCH {
+            self.spares = 0;
+            // A dead helper is reported by the receive below.
+            let _ = self.drained.send(std::mem::take(&mut self.spare));
+        }
+        match self.filled.recv() {
+            Ok(chunk) => {
+                self.chunk = chunk;
+                self.pos = 0;
+            }
+            Err(_) => self.helper.died(),
+        }
+    }
+}
+
+impl InstructionStream for HelperStream {
+    fn next_inst(&mut self) -> TraceInst {
+        if self.pos == self.chunk.len() {
+            self.refill();
+        }
+        // refill leaves a non-empty chunk with pos 0 or does not return
+        let inst = self.chunk[self.pos];
+        self.pos += 1;
+        inst
+    }
+}
+
+impl std::fmt::Debug for HelperStream {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HelperStream")
+            .field("buffered", &(self.chunk.len() - self.pos))
+            .finish_non_exhaustive()
+    }
+}
+
+/// The helper thread of a [`HelperStream`]; joined on drop.
+struct Helper(Option<JoinHandle<()>>);
+
+impl Helper {
+    /// Reports a helper that hung up on its consumer: it does so at the
+    /// stream's limit, or by panicking.
+    fn died(&mut self) -> ! {
+        let payload = match self.0.take().map(JoinHandle::join) {
+            Some(Err(payload)) => payload,
+            _ => panic!("instruction stream drawn past its limit"),
+        };
+        let reason = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        panic!("instruction-stream helper panicked: {reason}");
+    }
+}
+
+impl Drop for Helper {
+    fn drop(&mut self) {
+        if let Some(thread) = self.0.take() {
+            // A helper panic has either been reported by the consumer
+            // already or no longer matters; never panic in drop.
+            let _ = thread.join();
+        }
     }
 }
 
