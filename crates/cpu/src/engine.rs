@@ -82,8 +82,8 @@ pub enum Tier {
 impl Tier {
     /// Lowers a schedule into its segment sequence: `windows` repetitions
     /// of (fast-forward, window), fast-forwards omitted when the gap is
-    /// zero. The flat schedule lowers to no segments — the engine runs
-    /// the classic single-window path instead.
+    /// zero. The flat schedule lowers to no segments: the engine's final
+    /// run to each thread's target then measures the whole run.
     pub fn segments(schedule: &TierSchedule) -> Vec<Tier> {
         let mut out = Vec::new();
         if schedule.is_flat() {
@@ -144,8 +144,9 @@ impl ContextState {
     /// instruction stream and flushes its front-end lookahead (the FTQ
     /// holds the outgoing tenant's speculative path — a context switch
     /// discards it). Returns the incoming tenant's ASID; the caller
-    /// applies the tier-appropriate TLB/PSC effects.
-    fn rotate(&mut self, pipe: &mut ThreadPipe) -> Asid {
+    /// applies the tier-appropriate TLB/PSC effects, flushing the incoming
+    /// tenant's cached translations when the returned flag is set.
+    fn rotate(&mut self, pipe: &mut ThreadPipe) -> (Asid, bool) {
         self.next_switch += self.schedule.quantum;
         let next = (self.current + 1) % self.streams.len();
         // next < streams.len() by the modulo, and every slot except the
@@ -156,19 +157,15 @@ impl ContextState {
         pipe.lookahead.clear();
         pipe.cur_block = u64::MAX;
         pipe.group_count = 0;
+        let flush = self.schedule.policy == SwitchPolicy::FlushAsid;
         // itpx-allow: arith-width streams.len() == schedule.tenants, a u16, so the index fits
-        Asid(next as u16)
+        (Asid(next as u16), flush)
     }
 
     /// The executing tenant's ASID.
     fn asid(&self) -> Asid {
         // itpx-allow: arith-width current indexes streams, whose length is the u16 tenant count
         Asid(self.current as u16)
-    }
-
-    /// Whether switches flush the incoming tenant's cached translations.
-    fn flushes(&self) -> bool {
-        self.schedule.policy == SwitchPolicy::FlushAsid
     }
 
     /// Whether the shootdown cadence fires at the current clock (consumes
@@ -255,7 +252,6 @@ struct ThreadPipe {
     meas_start_cycle: Cycle,
     itrans_stall: u64,
     mispredicts: u64,
-    end_cycle: Option<Cycle>,
 }
 
 impl ThreadPipe {
@@ -317,16 +313,7 @@ impl ThreadPipe {
             meas_start_cycle: 0,
             itrans_stall: 0,
             mispredicts: 0,
-            end_cycle: None,
         }
-    }
-
-    fn warmed(&self) -> bool {
-        self.produced >= self.warmup
-    }
-
-    fn finished(&self) -> bool {
-        self.produced >= self.target
     }
 
     fn tiers(&self) -> TierSchedule {
@@ -375,11 +362,21 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `sources` is empty or has more than two entries.
+    /// Panics if `sources` is empty or has more than two entries, or if
+    /// a two-thread run gives any thread a tiered or multi-tenant
+    /// schedule.
     pub fn from_sources(system: System, sources: Vec<WorkloadSource>) -> Self {
         assert!(
             (1..=2).contains(&sources.len()),
             "1 or 2 hardware threads supported"
+        );
+        assert!(
+            sources.len() == 1
+                || sources.iter().all(|s| match s {
+                    WorkloadSource::Synthetic(w) => w.tiers.is_flat() && w.contexts.is_flat(),
+                    WorkloadSource::Replay { .. } => true,
+                }),
+            "tiered and multi-tenant schedules support a single hardware thread"
         );
         let rob_per_thread = system.config.rob_entries / sources.len();
         let ftq = system.config.ftq_entries;
@@ -396,10 +393,6 @@ impl Engine {
         let ctx = if contexts.is_flat() {
             None
         } else {
-            assert!(
-                threads.len() == 1,
-                "multi-tenant schedules support a single hardware thread"
-            );
             system.configure_address_spaces(
                 contexts.tenants as usize,
                 contexts.global_fraction,
@@ -440,8 +433,7 @@ impl Engine {
         // tenant streams and apply the switch to the cycle structures.
         if let Some(ctx) = self.ctx.as_mut() {
             if ctx.switch_due() {
-                let flush = ctx.flushes();
-                let asid = ctx.rotate(&mut self.threads[ti]);
+                let (asid, flush) = ctx.rotate(&mut self.threads[ti]);
                 self.system.context_switch(asid, flush);
             }
         }
@@ -646,8 +638,7 @@ impl Engine {
         if let Some(ctx) = self.ctx.as_mut() {
             let crossings = ctx.skip(instructions - warm);
             for _ in 0..crossings {
-                let flush = ctx.flushes();
-                let asid = ctx.rotate(&mut self.threads[ti]);
+                let (asid, flush) = ctx.rotate(&mut self.threads[ti]);
                 fun.context_switch(asid, flush);
                 self.system.address_space_mut(tid).switch_to(asid);
             }
@@ -656,8 +647,7 @@ impl Engine {
         for _ in 0..warm {
             if let Some(ctx) = self.ctx.as_mut() {
                 if ctx.switch_due() {
-                    let flush = ctx.flushes();
-                    let asid = ctx.rotate(&mut self.threads[ti]);
+                    let (asid, flush) = ctx.rotate(&mut self.threads[ti]);
                     fun.context_switch(asid, flush);
                     self.system.address_space_mut(tid).switch_to(asid);
                     cur_block = u64::MAX;
@@ -710,77 +700,52 @@ impl Engine {
         fun.verify_seeded(&self.system);
     }
 
+    /// Steps the unfinished thread earliest in simulated time until every
+    /// thread has produced `until(thread)` instructions.
+    fn run_until(&mut self, until: impl Fn(&ThreadPipe) -> u64) {
+        let smt = self.threads.len() == 2;
+        while let Some(i) = self
+            .threads
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.produced < until(t))
+            .min_by_key(|(_, t)| t.frontend_time)
+            .map(|(i, _)| i)
+        {
+            self.step(i, smt);
+        }
+    }
+
     /// Runs warmup and measurement, returning the collected results.
+    ///
+    /// Warmup, every tiered window and the final run to each thread's
+    /// target go through one stepping loop, `run_until`. A flat schedule
+    /// has no segments, so the final run measures all of it; after a
+    /// tiered schedule's last window it has nothing left to do.
+    /// Fast-forwards consume no simulated time and no statistics, so the
+    /// measured counters aggregate exactly the stepped instructions.
     ///
     /// Consumes the engine, so every stream helper thread is joined
     /// before this returns.
     pub fn run(mut self, preset: &str, llc_policy: &str) -> SimulationOutput {
-        let smt = self.threads.len() == 2;
-        // Phase 1: warm every thread up, interleaved by simulated time.
-        loop {
-            let next = self
-                .threads
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| !t.warmed())
-                .min_by_key(|(_, t)| t.frontend_time)
-                .map(|(i, _)| i);
-            match next {
-                Some(i) => self.step(i, smt),
-                None => break,
-            }
-        }
+        self.run_until(|t| t.warmup);
         self.measurement_boundary();
+        // `from_sources` admits non-flat schedules on one thread only.
         let schedule = self.threads[0].tiers();
-        if schedule.is_flat() {
-            // Phase 2 (classic): run to each thread's target.
-            loop {
-                let next = self
-                    .threads
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| !t.finished())
-                    .min_by_key(|(_, t)| t.frontend_time)
-                    .map(|(i, _)| i);
-                match next {
-                    Some(i) => {
-                        self.step(i, smt);
-                        let t = &mut self.threads[i];
-                        if t.finished() && t.end_cycle.is_none() {
-                            t.end_cycle = Some(t.last_retire);
-                        }
-                    }
-                    None => break,
+        let mut salt = 0u64;
+        for tier in Tier::segments(&schedule) {
+            match tier {
+                Tier::FastForward { instructions } => {
+                    self.fast_forward(0, salt, instructions);
+                    salt += 1;
+                }
+                Tier::Window { instructions } => {
+                    let until = self.threads[0].produced + instructions;
+                    self.run_until(|_| until);
                 }
             }
-        } else {
-            // Phase 2 (tiered): alternate fast-forward and measurement
-            // segments. Fast-forwards consume no simulated time and no
-            // statistics, so the measured counters aggregate exactly the
-            // windowed instructions — same invariant as the classic path,
-            // over a far longer program horizon.
-            assert!(
-                self.threads.len() == 1,
-                "tiered schedules support a single hardware thread"
-            );
-            let mut salt = 0u64;
-            for tier in Tier::segments(&schedule) {
-                match tier {
-                    Tier::FastForward { instructions } => {
-                        self.fast_forward(0, salt, instructions);
-                        salt += 1;
-                    }
-                    Tier::Window { instructions } => {
-                        let until = self.threads[0].produced + instructions;
-                        while self.threads[0].produced < until {
-                            self.step(0, smt);
-                        }
-                    }
-                }
-            }
-            let t = &mut self.threads[0];
-            t.end_cycle = Some(t.last_retire);
         }
+        self.run_until(|t| t.target);
 
         let threads = self
             .threads
@@ -788,12 +753,9 @@ impl Engine {
             .map(|t| ThreadOutput {
                 workload: t.name.clone(),
                 instructions: t.target - t.warmup,
-                cycles: t
-                    .end_cycle
-                    // reports are only built after every thread finished
-                    .expect("thread finished")
-                    .saturating_sub(t.meas_start_cycle)
-                    .max(1),
+                // A thread is never stepped past its target, so its last
+                // retirement is where its measurement ended.
+                cycles: t.last_retire.saturating_sub(t.meas_start_cycle).max(1),
                 itrans_stall_cycles: t.itrans_stall,
                 mispredictions: t.mispredicts,
             })

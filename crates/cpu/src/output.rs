@@ -72,8 +72,8 @@ pub struct SimulationOutput {
     pub llc_policy: String,
     /// Per-thread results (1 or 2 entries).
     pub threads: Vec<ThreadOutput>,
-    /// Tiered execution schedule the run used (flat = the classic
-    /// single-window run). Carried so downstream consumers can tell how
+    /// Tiered execution schedule the run used (flat = one untiered
+    /// measurement run). Carried so downstream consumers can tell how
     /// the measured counters were gathered.
     pub tiers: TierSchedule,
     /// First-level instruction TLB statistics.

@@ -6,7 +6,9 @@
 
 use itpx_core::Preset;
 use itpx_cpu::{Simulation, SystemConfig};
-use itpx_trace::{ContextSchedule, SwitchPolicy, TierSchedule, WorkloadSpec};
+use itpx_trace::{
+    ContextSchedule, SmtCategory, SmtPairSpec, SwitchPolicy, TierSchedule, WorkloadSpec,
+};
 
 fn base(seed: u64) -> WorkloadSpec {
     WorkloadSpec::server_like(seed)
@@ -147,4 +149,17 @@ fn tiered_and_multi_tenant_schedules_compose() {
     assert_eq!(a.instructions(), 15_000, "3 × 5k measured");
     let ipc = a.ipc();
     assert!(ipc > 0.01 && ipc < 6.0, "implausible IPC {ipc}");
+}
+
+/// Tenants are scheduled over one hardware thread, so a multi-tenant
+/// thread 1 is rejected rather than run with only tenant 0.
+#[test]
+#[should_panic(expected = "single hardware thread")]
+fn smt_rejects_a_multi_tenant_thread_1() {
+    let pair = SmtPairSpec {
+        a: base(8),
+        b: consolidated(4, SwitchPolicy::FlushAsid),
+        category: SmtCategory::Intense,
+    };
+    Simulation::smt(&SystemConfig::asplos25(), Preset::Lru, &pair).run();
 }

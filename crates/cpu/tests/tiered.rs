@@ -4,7 +4,7 @@
 
 use itpx_core::Preset;
 use itpx_cpu::{Simulation, SystemConfig, Tier};
-use itpx_trace::{TierSchedule, WorkloadSpec};
+use itpx_trace::{SmtCategory, SmtPairSpec, TierSchedule, WorkloadSpec};
 
 fn base(seed: u64) -> WorkloadSpec {
     WorkloadSpec::server_like(seed)
@@ -67,6 +67,34 @@ fn tiered_runs_are_deterministic() {
     let a = Simulation::single_thread(&cfg, Preset::ItpXptp, &w).run();
     let b = Simulation::single_thread(&cfg, Preset::ItpXptp, &w).run();
     assert_eq!(a, b);
+}
+
+/// Runs `a` and `b` as an SMT pair.
+fn smt(a: WorkloadSpec, b: WorkloadSpec) {
+    let pair = SmtPairSpec {
+        a,
+        b,
+        category: SmtCategory::Intense,
+    };
+    Simulation::smt(&SystemConfig::asplos25(), Preset::Lru, &pair).run();
+}
+
+/// Tiered SMT is not defined yet, so a tiered thread 0 is rejected
+/// rather than run.
+#[test]
+#[should_panic(expected = "single hardware thread")]
+fn smt_rejects_a_tiered_thread_0() {
+    let tiered = base(7).tiers(TierSchedule::tiered(5_000, 50_000, 2));
+    smt(tiered, base(8));
+}
+
+/// Thread 1's schedule is checked too: a tiered thread 1 must not run
+/// as a flat one under a simcache key that fingerprints its schedule.
+#[test]
+#[should_panic(expected = "single hardware thread")]
+fn smt_rejects_a_tiered_thread_1() {
+    let tiered = base(8).tiers(TierSchedule::tiered(5_000, 50_000, 2));
+    smt(base(7), tiered);
 }
 
 /// The schedule lowers into the segment sequence the engine executes.

@@ -25,7 +25,6 @@
 pub mod annotations;
 pub mod ast;
 pub mod hot;
-pub mod legacy;
 pub mod lexer;
 pub mod rules;
 

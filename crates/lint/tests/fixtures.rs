@@ -14,13 +14,24 @@
 //! To regenerate after an intentional engine change:
 //! `ITPX_BLESS=1 cargo test -p itpx-lint --test fixtures` — then diff the
 //! rewritten `.expected` files and review every change like source.
+//!
+//! The committed tree itself is checked too: it must analyze clean.
 
 use std::collections::BTreeSet;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+}
+
+fn repo_root() -> PathBuf {
+    // crates/lint/ -> crates/ -> repo root.
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("lint crate sits two levels under the repo root")
+        .to_path_buf()
 }
 
 /// `line:col rule` lines for one fixture, in report order.
@@ -39,6 +50,26 @@ fn expected_lines(raw: &str) -> Vec<String> {
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .map(String::from)
         .collect()
+}
+
+#[test]
+fn ast_engine_reports_a_clean_tree() {
+    let report = itpx_lint::run(&repo_root()).expect("analysis runs");
+    assert!(
+        report.is_clean(),
+        "the committed tree must analyze clean:\n{}",
+        report
+            .findings
+            .iter()
+            .chain(&report.annotation_errors)
+            .map(|f| format!("  {f}"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+    // A scoping bug that silently dropped files or roots would also
+    // "pass"; pin the breadth of the run.
+    assert!(report.files_scanned >= 90, "file set collapsed");
+    assert!(report.hot_fns >= 150, "hot-path call graph collapsed");
 }
 
 #[test]

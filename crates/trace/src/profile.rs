@@ -193,7 +193,7 @@ impl Fingerprint for Profile {
 /// `windows` segments of (functional fast-forward of `fast_forward`
 /// instructions → cycle-accurate window of `window` instructions). The
 /// flat schedule (all fields zero) is the default and means "no tiering":
-/// the engine takes the classic single-window path and produces
+/// the engine measures in one run to the target and produces
 /// byte-identical outputs to a pre-tiering build, and the flat schedule
 /// contributes nothing to a workload's fingerprint so existing simcache
 /// keys stay byte-identical too.
