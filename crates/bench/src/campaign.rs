@@ -161,6 +161,17 @@ impl WorkQueue {
         self.jobs.iter().map(|(k, _)| *k)
     }
 
+    /// The job indices `misses` in execution order: workload-major, by
+    /// the request's workload fingerprint, ties in queue (request)
+    /// order. Every preset of a workload then runs back to back, so its
+    /// generator layout is built once (see `itpx_trace::TraceGenerator`)
+    /// even when a figure submits its batch preset-major.
+    fn workload_major(&self, mut misses: Vec<usize>) -> Vec<usize> {
+        // sort_by_cached_key is stable
+        misses.sort_by_cached_key(|&i| self.jobs[i].1.unit.fingerprint_u64());
+        misses
+    }
+
     /// Deterministic key-range partition: job indices sorted by key are
     /// split into `shards` contiguous, near-equal chunks and chunk
     /// `index` is returned. Every cooperating shard computes the same
@@ -290,7 +301,8 @@ impl Campaign {
     /// The batch is deduplicated by [`SimRequest::key`] into one
     /// [`WorkQueue`]; each distinct key is then looked up in the cache
     /// exactly once (counting one hit or miss), and the misses are
-    /// handed to the configured [`Executor`]. Repeated keys — within
+    /// handed to the configured [`Executor`] workload-major, so the
+    /// presets of one workload run back to back. Repeated keys — within
     /// the batch or across batches — never simulate twice in one
     /// process, and in shard mode at most once across the whole fleet
     /// (barring self-heal takeovers).
@@ -317,6 +329,7 @@ impl Campaign {
                 None => misses.push(i),
             }
         }
+        let misses = queue.workload_major(misses);
         for (key, out) in self.execute_queue(&queue, misses) {
             resolved.insert(key, out);
         }
@@ -686,6 +699,37 @@ mod tests {
         let again = campaign.run_one(req);
         assert_eq!(again, outs[0]);
         assert_eq!((campaign.cache().hits(), campaign.cache().misses()), (1, 1));
+    }
+
+    #[test]
+    fn preset_major_batches_run_workload_major_and_answer_in_request_order() {
+        let presets = [Preset::Lru, Preset::Itp, Preset::ItpXptp];
+        let workloads: Vec<WorkloadSpec> = (1..=4)
+            .map(|s| smoke_workload(s).instructions(2_000).warmup(500))
+            .collect();
+        // How figures submit: preset-major.
+        let requests: Vec<SimRequest> = presets
+            .iter()
+            .flat_map(|&p| {
+                workloads
+                    .iter()
+                    .map(move |w| SimRequest::single(&SystemConfig::asplos25(), p, w))
+            })
+            .collect();
+        let queue = WorkQueue::new(requests.iter().map(|r| (r.key(), r.clone())).collect());
+        let order = queue.workload_major((0..requests.len()).collect());
+        for group in order.chunks(presets.len()) {
+            let w = group[0] % workloads.len();
+            // One workload per run of presets, its presets in request order.
+            let want: Vec<usize> = (0..presets.len())
+                .map(|p| p * workloads.len() + w)
+                .collect();
+            assert_eq!(group, want, "execution order {order:?}");
+        }
+        let campaign = Campaign::new(RunScale::smoke(), SimCache::new(None));
+        let outs = campaign.run_batch(requests.clone());
+        let want: Vec<SimulationOutput> = requests.iter().map(SimRequest::execute).collect();
+        assert_eq!(outs, want);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   report.
 //! * `/sim?preset=<name>&workload=server:<seed>|spec:<seed>` — one
 //!   simulation; optional `instructions=` and `warmup=` override the
-//!   campaign scale's run lengths.
+//!   campaign scale's run lengths (together at most
+//!   `MAX_SIM_INSTRUCTIONS`).
 //! * `/metrics` — Prometheus-style text: store hits/misses, queue
 //!   depth, request totals, per-figure latency histograms.
 //!
@@ -290,7 +291,14 @@ fn serve_figure(name: &str, campaign: &Campaign, metrics: &Metrics) -> (u16, Str
     (200, report.text().to_string())
 }
 
+/// Most instructions, warmup plus measured, one `/sim` request may run:
+/// about 67 times a paper-scale run (50M warmup + 100M measured, see
+/// EXPERIMENTS.md), which is already hours of host time.
+const MAX_SIM_INSTRUCTIONS: u64 = 10_000_000_000;
+
 /// `/sim` — one simulation, campaign-cached like any figure request.
+/// Lengths whose sum overflows or exceeds [`MAX_SIM_INSTRUCTIONS`] get a
+/// 400 before anything runs or reaches the store.
 fn serve_sim(query: &str, campaign: &Campaign) -> (u16, String) {
     let params = parse_query(query);
     let Some(preset) = params.get("preset").and_then(|p| preset_by_alias(p)) else {
@@ -317,9 +325,18 @@ fn serve_sim(query: &str, campaign: &Campaign) -> (u16, String) {
             .unwrap_or(default)
             .max(1)
     };
-    let workload = workload
-        .instructions(parse_len("instructions", scale.instructions))
-        .warmup(parse_len("warmup", scale.warmup));
+    let instructions = parse_len("instructions", scale.instructions);
+    let warmup = parse_len("warmup", scale.warmup);
+    if warmup
+        .checked_add(instructions)
+        .is_none_or(|total| total > MAX_SIM_INSTRUCTIONS)
+    {
+        return (
+            400,
+            format!("warmup + instructions must be at most {MAX_SIM_INSTRUCTIONS}\n"),
+        );
+    }
+    let workload = workload.instructions(instructions).warmup(warmup);
     let req = SimRequest::single(&SystemConfig::asplos25(), preset, &workload);
     let out = campaign.run_one(req);
     (200, render_sim(preset, &workload, &out))

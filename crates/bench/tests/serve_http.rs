@@ -85,6 +85,18 @@ fn server_serves_figures_sims_and_metrics() {
     assert_eq!(sim_again, sim, "warm sim must be byte-identical");
     let (status, bad) = get(addr, "/sim?preset=bogus&workload=server:1");
     assert_eq!(status, 400, "bogus preset must 400: {bad}");
+    // Lengths whose sum wraps, or that would run for days, are refused
+    // before anything runs or is stored.
+    let (status, bad) = get(
+        addr,
+        "/sim?preset=lru&workload=server:1&instructions=18446744073709551615&warmup=1",
+    );
+    assert_eq!(status, 400, "overflowing lengths must 400: {bad}");
+    let (status, bad) = get(
+        addr,
+        "/sim?preset=lru&workload=server:1&instructions=10000000000&warmup=1",
+    );
+    assert_eq!(status, 400, "overlong run must 400: {bad}");
 
     // Metrics reflect everything above.
     let (status, metrics) = get(addr, "/metrics");

@@ -271,17 +271,20 @@ impl ThreadPipe {
         // A tiered schedule defines the measured instruction count itself
         // (windows × window); the flat schedule measures `instructions`.
         let tiers = spec.as_ref().map_or_else(TierSchedule::flat, |s| s.tiers);
-        let target = if tiers.is_flat() {
-            warmup + source.instructions()
+        let measured = if tiers.is_flat() {
+            source.instructions()
         } else {
-            warmup + tiers.measured_instructions()
+            tiers.measured_instructions()
         };
+        let target = warmup.checked_add(measured).unwrap_or_else(|| {
+            panic!("{name}: warmup {warmup} + {measured} measured instructions overflows u64")
+        });
         // Without context switches the pipe steps exactly `target` times
         // and keeps `ftq_entries` instructions looked ahead, which bounds
         // its draws; a switch discards the lookahead, so tenants have no
         // bound.
         let limit = match &spec {
-            Some(s) if s.contexts.is_flat() => target + ftq_entries as u64,
+            Some(s) if s.contexts.is_flat() => target.saturating_add(ftq_entries as u64),
             _ => u64::MAX,
         };
         Self {

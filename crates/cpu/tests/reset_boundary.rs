@@ -152,3 +152,14 @@ fn reset_preserves_structure_contents() {
     let done = s.hierarchy.instr_fetch(t2.pa, va.0, ThreadId(0), 200_000);
     assert_eq!(done, 200_004, "L1I contents survive reset");
 }
+
+/// A run whose warmup plus measured length overflows is refused, not
+/// wrapped into a target below the boundary.
+#[test]
+#[should_panic(expected = "overflows u64")]
+fn run_lengths_that_overflow_are_refused() {
+    let w = WorkloadSpec::server_like(1)
+        .instructions(u64::MAX)
+        .warmup(1);
+    Simulation::single_thread(&SystemConfig::asplos25(), Preset::Lru, &w).run();
+}

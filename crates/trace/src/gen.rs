@@ -18,7 +18,7 @@ const RING_FN_MIN: u64 = 16;
 const RING_FN_MAX: u64 = 48;
 use crate::record::{Branch, MemRef, TraceInst};
 use itpx_types::Rng64;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Samples ranks from a Zipf distribution via an explicit CDF.
 ///
@@ -147,6 +147,118 @@ struct Layout {
     ring: Vec<Function>,
 }
 
+/// What a layout and the RNG state after it are a function of: the seed
+/// and every profile field, floats by their bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LayoutKey([u64; 19]);
+
+impl LayoutKey {
+    fn of(spec: &WorkloadSpec) -> Self {
+        // Destructured in full, so a new profile field cannot be left out.
+        let Profile {
+            code_pages,
+            fn_len_min,
+            fn_len_max,
+            code_zipf_s,
+            ring_ratio,
+            ring_pages,
+            loop_prob,
+            data_pages,
+            data_zipf_s,
+            load_ratio,
+            store_ratio,
+            stream_ratio,
+            stream_blocks,
+            hot_ratio,
+            hot_blocks,
+            transit_ratio,
+            transit_pages,
+            long_latency_ratio,
+        } = spec.profile;
+        let n = |v: usize| v as u64;
+        Self([
+            spec.seed,
+            n(code_pages),
+            n(fn_len_min),
+            n(fn_len_max),
+            code_zipf_s.to_bits(),
+            ring_ratio.to_bits(),
+            n(ring_pages),
+            loop_prob.to_bits(),
+            n(data_pages),
+            data_zipf_s.to_bits(),
+            load_ratio.to_bits(),
+            store_ratio.to_bits(),
+            stream_ratio.to_bits(),
+            n(stream_blocks),
+            hot_ratio.to_bits(),
+            n(hot_blocks),
+            transit_ratio.to_bits(),
+            n(transit_pages),
+            long_latency_ratio.to_bits(),
+        ])
+    }
+}
+
+/// Layouts the process keeps after the runs that built them end: one.
+/// A campaign runs a workload's presets back to back (workload-major),
+/// so one entry serves them all; with two host threads the newest key
+/// is the one both are working through. Two entries would also serve
+/// SMT pairs, but on `campaign-serve` they raised peak RSS by 16% and
+/// gained less `sim_ips` than one.
+const LAYOUT_MEMO_CAPACITY: usize = 1;
+
+/// A built layout and the execution RNG state right after its draws.
+type BuiltLayout = (Arc<Layout>, Rng64);
+
+/// A bounded memo of built layouts, most recently used last.
+///
+/// A miss evicts before it builds, so the memo never holds more than
+/// [`LAYOUT_MEMO_CAPACITY`] layouts beyond the ones running generators
+/// hold. The lock only guards the entry list: a build runs outside it,
+/// in the entry's `OnceLock`, so different keys build in parallel and a
+/// second caller of an in-flight key waits for that build instead of
+/// repeating it.
+#[derive(Debug)]
+struct LayoutMemo {
+    entries: Mutex<Vec<(LayoutKey, Arc<OnceLock<BuiltLayout>>)>>,
+}
+
+/// The process-wide memo behind [`TraceGenerator::new`].
+static LAYOUTS: LayoutMemo = LayoutMemo::new();
+
+impl LayoutMemo {
+    const fn new() -> Self {
+        Self {
+            entries: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// `spec`'s layout and post-layout RNG, built at most once while its
+    /// entry lives.
+    fn get(&self, spec: &WorkloadSpec) -> BuiltLayout {
+        let key = LayoutKey::of(spec);
+        let cell = {
+            // Every update leaves a valid memo, so a poisoned lock is safe
+            // to recover.
+            let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+            let cell = match entries.iter().position(|(k, _)| *k == key) {
+                Some(i) => entries.remove(i).1,
+                None => {
+                    if entries.len() == LAYOUT_MEMO_CAPACITY {
+                        entries.remove(0);
+                    }
+                    Arc::new(OnceLock::new())
+                }
+            };
+            entries.push((key, Arc::clone(&cell)));
+            cell
+        };
+        let (layout, rng) = cell.get_or_init(|| TraceGenerator::build_layout(spec));
+        (Arc::clone(layout), rng.clone())
+    }
+}
+
 /// Deterministic instruction-stream generator for one workload.
 ///
 /// Implements [`Iterator`] over [`TraceInst`]; the stream is infinite, so
@@ -170,8 +282,19 @@ pub struct TraceGenerator {
 
 impl TraceGenerator {
     /// Builds the generator for a workload spec.
+    ///
+    /// The layout comes from a small process-wide memo, so the presets
+    /// of one workload run back to back build it once; the generator is
+    /// the one a fresh build returns either way.
     pub fn new(spec: &WorkloadSpec) -> Self {
         spec.profile.validate();
+        let (layout, rng) = LAYOUTS.get(spec);
+        Self::start(layout, spec.profile, rng)
+    }
+
+    /// Builds `spec`'s layout afresh, with the execution RNG in the state
+    /// the layout draws leave it in.
+    fn build_layout(spec: &WorkloadSpec) -> BuiltLayout {
         let p = spec.profile;
         let mut rng = Rng64::new(spec.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x17b7);
         // Pack functions into the code region until `code_pages` are used.
@@ -211,7 +334,7 @@ impl TraceGenerator {
             data_perm,
             ring,
         };
-        Self::start(Arc::new(layout), p, rng)
+        (Arc::new(layout), rng)
     }
 
     /// A generator at the start of `layout`'s stream, drawing execution
@@ -582,10 +705,16 @@ mod tests {
         assert_ne!(fork, other);
     }
 
+    /// A generator over a layout built afresh, bypassing the memo.
+    fn fresh(spec: &WorkloadSpec) -> TraceGenerator {
+        let (layout, rng) = TraceGenerator::build_layout(spec);
+        TraceGenerator::start(layout, spec.profile, rng)
+    }
+
     /// Reference fork that shares nothing: a freshly built generator for
     /// `spec` with its execution RNG re-seeded by `salt`.
     fn rebuilt_fork(spec: &WorkloadSpec, salt: u64) -> TraceGenerator {
-        let mut g = TraceGenerator::new(spec);
+        let mut g = fresh(spec);
         g.rng = Rng64::new(
             spec.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
                 ^ 0x7153_7f0c_ca5e_17b7u64.wrapping_add(salt.wrapping_mul(0xd134_2543_de82_ef95)),
@@ -612,6 +741,109 @@ mod tests {
                 assert_eq!(got, want, "{} salt {salt}", spec.name);
             }
         }
+    }
+
+    /// The specs the memo tests cover: server- and SPEC-like specs and
+    /// the canonical server profile's tenants 0-3.
+    fn memo_specs() -> Vec<WorkloadSpec> {
+        let mut canonical = WorkloadSpec::server_like(21);
+        canonical.profile = Profile::server();
+        let mut specs = vec![WorkloadSpec::server_like(19), WorkloadSpec::spec_like(20)];
+        specs.extend((0..4).map(|t| canonical.tenant(t)));
+        specs
+    }
+
+    fn first(g: TraceGenerator) -> Vec<TraceInst> {
+        g.take(20_000).collect()
+    }
+
+    #[test]
+    fn memo_hits_stream_like_fresh_builds() {
+        for spec in memo_specs() {
+            // The second call is a hit unless a concurrent test evicted
+            // the entry; either way the stream must be the fresh one.
+            for _ in 0..2 {
+                let got = TraceGenerator::new(&spec);
+                let want = fresh(&spec);
+                for salt in [0, 1, u64::MAX] {
+                    assert_eq!(
+                        first(got.phase_fork(salt)),
+                        first(want.phase_fork(salt)),
+                        "{} salt {salt}",
+                        spec.name
+                    );
+                }
+                assert_eq!(first(got), first(want), "{}", spec.name);
+            }
+        }
+    }
+
+    #[test]
+    fn memo_hit_shares_the_cached_layout() {
+        let memo = LayoutMemo::new();
+        for spec in memo_specs() {
+            let (layout, rng) = memo.get(&spec);
+            let (again, again_rng) = memo.get(&spec);
+            assert!(Arc::ptr_eq(&layout, &again), "{} rebuilt", spec.name);
+            assert_eq!(rng, again_rng, "{}", spec.name);
+            let hit = TraceGenerator::start(again, spec.profile, again_rng);
+            assert_eq!(first(hit), first(fresh(&spec)), "{}", spec.name);
+        }
+    }
+
+    #[test]
+    fn memo_rebuilds_after_capacity_distinct_specs() {
+        let memo = LayoutMemo::new();
+        let specs = memo_specs();
+        let (layout, _) = memo.get(&specs[0]);
+        for spec in &specs[1..=LAYOUT_MEMO_CAPACITY] {
+            memo.get(spec);
+        }
+        let (again, _) = memo.get(&specs[0]);
+        assert!(!Arc::ptr_eq(&layout, &again), "first spec was not evicted");
+        assert_eq!(memo.entries.lock().unwrap().len(), LAYOUT_MEMO_CAPACITY);
+    }
+
+    #[test]
+    fn memo_key_is_bitwise() {
+        let spec = WorkloadSpec::server_like(22);
+        let mut other = spec.clone();
+        other.profile.loop_prob = f64::from_bits(spec.profile.loop_prob.to_bits() + 1);
+        assert_ne!(LayoutKey::of(&spec), LayoutKey::of(&other));
+        // Name and run lengths are not part of the layout.
+        let renamed = WorkloadSpec {
+            name: "other".into(),
+            ..spec.clone().instructions(7).warmup(3)
+        };
+        assert_eq!(LayoutKey::of(&spec), LayoutKey::of(&renamed));
+    }
+
+    /// Two threads asking for one key at once get one build: the second
+    /// waits on the first. CI also runs this pinned to one CPU, where the
+    /// builder and the waiter share a core.
+    #[test]
+    fn memo_two_threads_share_one_build() {
+        let memo = LayoutMemo::new();
+        let spec = memo_specs().swap_remove(2);
+        let barrier = std::sync::Barrier::new(2);
+        let got: Vec<BuiltLayout> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        memo.get(&spec)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(Arc::ptr_eq(&got[0].0, &got[1].0), "built twice");
+        let streams: Vec<Vec<TraceInst>> = got
+            .into_iter()
+            .map(|(layout, rng)| first(TraceGenerator::start(layout, spec.profile, rng)))
+            .collect();
+        assert_eq!(streams[0], streams[1]);
+        assert_eq!(streams[0], first(fresh(&spec)));
     }
 
     /// The rank a full binary search over the CDF returns.
