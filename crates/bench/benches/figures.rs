@@ -1,6 +1,6 @@
 //! End-to-end benchmarks: the cost of regenerating each figure family at
 //! a miniature scale (these gate performance regressions of the whole
-//! simulator; the real reproductions run via the fig* binaries).
+//! simulator; the real reproductions run via `run_all`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use itpx_core::Preset;

@@ -1,5 +1,5 @@
-//! Regenerates every reproduced table and figure in-process, writing text
-//! reports to `target/experiments/`.
+//! Regenerates every reproduced table and figure in-process, or one with
+//! `--figure <name>`, writing text reports to `target/experiments/`.
 //!
 //! All figures share one [`Campaign`]: a single job queue across
 //! `ITPX_THREADS` host threads and one simulation cache, so baselines
@@ -10,14 +10,31 @@
 //! ```sh
 //! ITPX_WORKLOADS=16 ITPX_INSTRUCTIONS=600000 \
 //!     cargo run -p itpx-bench --release --bin run_all
+//! cargo run -p itpx-bench --release --bin run_all -- --figure fig08
 //! ```
 
 use itpx_bench::{figures, Campaign};
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let selected: &[figures::Figure] = match args.as_slice() {
+        [] => figures::ALL,
+        [flag, name] if flag == "--figure" => match figures::by_name(name) {
+            Some(fig) => std::slice::from_ref(fig),
+            None => {
+                let known: Vec<&str> = figures::ALL.iter().map(|f| f.name).collect();
+                eprintln!("unknown figure {name:?}; known: {}", known.join(", "));
+                std::process::exit(2);
+            }
+        },
+        _ => {
+            eprintln!("usage: run_all [--figure <name>]");
+            std::process::exit(2);
+        }
+    };
     let campaign = Campaign::from_env();
     let mut failures = Vec::new();
-    for fig in figures::ALL {
+    for fig in selected {
         println!("==== {} ====", fig.name);
         if (fig.build)(&campaign).finish().is_none() {
             failures.push(fig.name);

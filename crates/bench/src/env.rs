@@ -6,10 +6,9 @@
 //! *silently* to the default (or worse, to a zero-thread sweep); the
 //! parsers here validate, clamp, and report what they rejected. Each
 //! distinct complaint is printed to stderr once per process — scale
-//! variables are consulted from many figure binaries and a warning per
+//! variables are consulted by every figure and binary, and a warning per
 //! consultation would drown the report output.
 
-use itpx_trace::TierSchedule;
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
@@ -73,65 +72,6 @@ pub fn parse_switch(name: &str, raw: Option<&str>, default: bool) -> (bool, Opti
             )),
         ),
     }
-}
-
-/// Default instructions per cycle-accurate window for env-configured
-/// tiered schedules (`ITPX_TIER_WINDOW`).
-pub const TIER_WINDOW_DEFAULT: u64 = 20_000;
-/// Default fast-forward gap (`ITPX_TIER_FF`). At ~7× functional speed
-/// plus the free skip, a 2M gap buys a >10× horizon per unit wall-clock.
-pub const TIER_FF_DEFAULT: u64 = 2_000_000;
-/// Default window count (`ITPX_TIER_WINDOWS`).
-pub const TIER_WINDOWS_DEFAULT: u64 = 5;
-
-/// Parses the three tier knobs into a [`TierSchedule`]. All unset →
-/// `default` (normally flat); any set → a tiered schedule where each
-/// unset knob takes its documented default. `window`/`windows` clamp to
-/// ≥ 1 (a zero-window schedule can never measure anything);
-/// `fast_forward` accepts 0 (back-to-back windows). Complaints are
-/// returned for the caller to route through [`warn_once`].
-pub fn parse_tier_schedule(
-    window: Option<&str>,
-    fast_forward: Option<&str>,
-    windows: Option<&str>,
-    default: TierSchedule,
-) -> (TierSchedule, Vec<String>) {
-    if window.is_none() && fast_forward.is_none() && windows.is_none() {
-        return (default, Vec::new());
-    }
-    let mut complaints = Vec::new();
-    let mut take = |name, raw, dflt, min| {
-        let (v, complaint) = parse_count(name, raw, dflt, min);
-        complaints.extend(complaint);
-        v
-    };
-    let schedule = TierSchedule::tiered(
-        take("ITPX_TIER_WINDOW", window, TIER_WINDOW_DEFAULT, 1),
-        take("ITPX_TIER_FF", fast_forward, TIER_FF_DEFAULT, 0),
-        take("ITPX_TIER_WINDOWS", windows, TIER_WINDOWS_DEFAULT, 1),
-    );
-    (schedule, complaints)
-}
-
-/// [`parse_tier_schedule`] applied to the live environment, with
-/// complaints routed through [`warn_once`].
-pub fn tier_schedule_from_env(default: TierSchedule) -> TierSchedule {
-    let get = |name: &str| std::env::var(name).ok();
-    let (window, ff, windows) = (
-        get("ITPX_TIER_WINDOW"),
-        get("ITPX_TIER_FF"),
-        get("ITPX_TIER_WINDOWS"),
-    );
-    let (schedule, complaints) = parse_tier_schedule(
-        window.as_deref(),
-        ff.as_deref(),
-        windows.as_deref(),
-        default,
-    );
-    for c in &complaints {
-        warn_once(c);
-    }
-    schedule
 }
 
 /// Default listen address for `itpx-serve` (`ITPX_SERVE_ADDR`).
@@ -306,54 +246,6 @@ mod tests {
         let (v, complaint) = parse_switch("ITPX_SIMCACHE", Some("2"), true);
         assert!(v);
         assert!(complaint.is_some());
-    }
-
-    #[test]
-    fn tier_knobs_all_unset_keep_the_default() {
-        let (s, c) = parse_tier_schedule(None, None, None, TierSchedule::flat());
-        assert!(s.is_flat());
-        assert!(c.is_empty());
-        let d = TierSchedule::tiered(1_000, 5_000, 2);
-        assert_eq!(parse_tier_schedule(None, None, None, d).0, d);
-    }
-
-    #[test]
-    fn tier_knobs_combine_set_values_with_documented_defaults() {
-        let (s, c) = parse_tier_schedule(Some("8000"), None, Some("3"), TierSchedule::flat());
-        assert_eq!(s, TierSchedule::tiered(8_000, TIER_FF_DEFAULT, 3));
-        assert!(c.is_empty());
-        // Zero fast-forward is a valid (back-to-back) schedule.
-        let (s, c) = parse_tier_schedule(None, Some("0"), None, TierSchedule::flat());
-        assert_eq!(
-            s,
-            TierSchedule::tiered(TIER_WINDOW_DEFAULT, 0, TIER_WINDOWS_DEFAULT)
-        );
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn tier_knobs_clamp_and_complain() {
-        // A zero-instruction window (or zero windows) can never measure
-        // anything: clamp to 1 with a complaint instead of panicking in
-        // TierSchedule::tiered.
-        let (s, c) = parse_tier_schedule(Some("0"), None, Some("0"), TierSchedule::flat());
-        assert_eq!(s.window, 1);
-        assert_eq!(s.windows, 1);
-        assert_eq!(c.len(), 2);
-        assert!(c[0].contains("ITPX_TIER_WINDOW=0"), "{}", c[0]);
-        assert!(c[1].contains("ITPX_TIER_WINDOWS=0"), "{}", c[1]);
-    }
-
-    #[test]
-    fn tier_knob_junk_falls_back_with_a_complaint() {
-        let (s, c) = parse_tier_schedule(Some("lots"), Some("2e6"), None, TierSchedule::flat());
-        assert_eq!(
-            s,
-            TierSchedule::tiered(TIER_WINDOW_DEFAULT, TIER_FF_DEFAULT, TIER_WINDOWS_DEFAULT)
-        );
-        assert_eq!(c.len(), 2);
-        assert!(c[0].contains("ITPX_TIER_WINDOW"), "{}", c[0]);
-        assert!(c[1].contains("ITPX_TIER_FF"), "{}", c[1]);
     }
 
     #[test]

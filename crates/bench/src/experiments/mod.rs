@@ -1,5 +1,5 @@
 //! One module per reproduced figure. Each returns structured results so
-//! the `fig*` binaries can print them and integration tests can assert
+//! the figure reports can print them and integration tests can assert
 //! the paper's claims on reduced scales.
 
 pub mod calibrate;

@@ -1,9 +1,9 @@
 //! One report builder per reproduced figure, all driven by a shared
 //! [`Campaign`].
 //!
-//! The `fig*` binaries are thin wrappers over these functions, and
-//! `run_all` iterates [`ALL`] in-process so every figure draws from the
-//! same scheduler and simulation cache.
+//! `run_all` iterates [`ALL`] in-process (or picks one by name with
+//! `--figure`), so every figure draws from the same scheduler and
+//! simulation cache.
 
 use crate::campaign::Campaign;
 use crate::experiments::{
@@ -16,10 +16,10 @@ use itpx_cpu::SystemConfig;
 use itpx_trace::{qualcomm_like_suite, spec_like_suite};
 use itpx_types::stats::geomean_speedup;
 
-/// A named figure: what `run_all` iterates and `bench_campaign` times.
+/// A named figure: what `run_all` iterates and `bench_gates campaign` times.
 #[derive(Debug, Clone, Copy)]
 pub struct Figure {
-    /// Binary/report name (`fig08`, `calibrate`, ...).
+    /// Report name (`fig08`, `calibrate`, ...), as `run_all --figure` takes it.
     pub name: &'static str,
     /// Builds the figure's report through the campaign.
     pub build: fn(&Campaign) -> Report,
@@ -93,7 +93,7 @@ pub const ALL: &[Figure] = &[
     },
 ];
 
-/// Looks a figure up by its binary name.
+/// Looks a figure up by its name.
 pub fn by_name(name: &str) -> Option<&'static Figure> {
     ALL.iter().find(|f| f.name == name)
 }

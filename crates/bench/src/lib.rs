@@ -1,9 +1,8 @@
 //! Experiment harness: reproduces every table and figure of the paper's
 //! evaluation.
 //!
-//! Each `fig*` binary in `src/bin/` regenerates one figure; `run_all`
-//! regenerates everything and writes text reports under
-//! `target/experiments/`. The shared machinery lives here:
+//! `run_all` regenerates every figure (or one, with `--figure <name>`)
+//! and writes text reports under `target/experiments/`. The shared machinery lives here:
 //!
 //! * [`harness`] — parallel sweep runner (N workloads × M configurations),
 //!   scale controls via `ITPX_*` environment variables.
