@@ -5,7 +5,7 @@
 //! the baselines'. One iteration = one fill + one hit + one victim choice.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use itpx_core::{AdaptiveXptp, Itp, ItpParams, Xptp, XptpParams, XptpSwitch};
+use itpx_core::{Itp, ItpParams, Xptp, XptpParams, XptpSwitch};
 use itpx_policy::*;
 use itpx_types::{FillClass, TranslationKind};
 use std::hint::black_box;
@@ -79,7 +79,7 @@ fn benches(c: &mut Criterion) {
     bench_cache_policy(
         c,
         "adaptive-xptp",
-        Box::new(AdaptiveXptp::new(
+        Box::new(Xptp::adaptive(
             1024,
             8,
             XptpParams::default(),
@@ -87,7 +87,7 @@ fn benches(c: &mut Criterion) {
         )),
     );
     bench_cache_policy(c, "ptp", Box::new(Ptp::new(1024, 8)));
-    bench_cache_policy(c, "tdrrip", Box::new(Tdrrip::new(1024, 8, 7)));
+    bench_cache_policy(c, "tdrrip", Box::new(Drrip::translation_aware(1024, 8, 7)));
     bench_cache_policy(c, "ship", Box::new(Ship::new(1024, 8)));
     bench_cache_policy(c, "mockingjay", Box::new(Mockingjay::new(1024, 8)));
     bench_cache_policy(c, "drrip", Box::new(Drrip::new(1024, 8, 9)));

@@ -28,6 +28,7 @@ use crate::figures;
 use itpx_core::Preset;
 use itpx_cpu::{SimulationOutput, SystemConfig};
 use itpx_trace::WorkloadSpec;
+use itpx_types::stats::Histogram;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -35,31 +36,46 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
-/// Upper bounds of the per-figure latency histogram buckets, in
-/// milliseconds (the final `+Inf` bucket is implicit).
-const LATENCY_BUCKETS_MS: [u64; 8] = [1, 5, 25, 100, 500, 2_500, 10_000, 60_000];
+/// Buckets of the per-figure latency histogram. Bucket `i` holds
+/// `[2^i, 2^(i+1))` ms (bucket 0 also holds 0), so its `le` bound is
+/// `2^(i+1) - 1`; the last bucket, from 2^16 ms (about 65 s) up, saturates
+/// and renders as `+Inf`.
+const LATENCY_BUCKETS: usize = 17;
 
 /// Largest request head (request line + headers) the server will read.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
-/// One figure's latency histogram: log-spaced buckets plus sum/count,
-/// rendered in Prometheus text exposition format.
-#[derive(Debug, Default, Clone)]
-struct Histogram {
-    buckets: [u64; LATENCY_BUCKETS_MS.len() + 1],
+/// One figure's latency: power-of-two buckets plus the sum, rendered in
+/// Prometheus text exposition format.
+#[derive(Debug, Clone)]
+struct FigureLatency {
+    hist: Histogram,
     sum_ms: u64,
-    count: u64,
 }
 
-impl Histogram {
+impl FigureLatency {
     fn record(&mut self, ms: u64) {
-        let slot = LATENCY_BUCKETS_MS
-            .iter()
-            .position(|&le| ms <= le)
-            .unwrap_or(LATENCY_BUCKETS_MS.len());
-        self.buckets[slot] += 1;
+        self.hist.record(ms);
         self.sum_ms += ms;
-        self.count += 1;
+    }
+
+    fn render(&self, figure: &str, out: &mut String) {
+        let buckets = self.hist.buckets();
+        let mut cumulative = 0;
+        for (i, n) in buckets[..buckets.len() - 1].iter().enumerate() {
+            cumulative += n;
+            let le = (2u64 << i) - 1;
+            out.push_str(&format!(
+                "itpx_figure_latency_ms_bucket{{figure=\"{figure}\",le=\"{le}\"}} {cumulative}\n"
+            ));
+        }
+        let count = self.hist.total();
+        out.push_str(&format!(
+            "itpx_figure_latency_ms_bucket{{figure=\"{figure}\",le=\"+Inf\"}} {count}\n\
+             itpx_figure_latency_ms_sum{{figure=\"{figure}\"}} {}\n\
+             itpx_figure_latency_ms_count{{figure=\"{figure}\"}} {count}\n",
+            self.sum_ms
+        ));
     }
 }
 
@@ -68,7 +84,7 @@ impl Histogram {
 struct Metrics {
     requests_total: AtomicU64,
     queue_depth: AtomicU64,
-    figure_latency: Mutex<BTreeMap<&'static str, Histogram>>,
+    figure_latency: Mutex<BTreeMap<&'static str, FigureLatency>>,
 }
 
 impl Metrics {
@@ -77,7 +93,10 @@ impl Metrics {
             .lock()
             .expect("metrics lock")
             .entry(name)
-            .or_default()
+            .or_insert_with(|| FigureLatency {
+                hist: Histogram::new(LATENCY_BUCKETS),
+                sum_ms: 0,
+            })
             .record(ms);
     }
 
@@ -119,20 +138,8 @@ impl Metrics {
              # TYPE itpx_figure_latency_ms histogram\n",
         );
         let hists = self.figure_latency.lock().expect("metrics lock");
-        for (figure, h) in hists.iter() {
-            let mut cumulative = 0;
-            for (slot, &le) in LATENCY_BUCKETS_MS.iter().enumerate() {
-                cumulative += h.buckets[slot];
-                out.push_str(&format!(
-                    "itpx_figure_latency_ms_bucket{{figure=\"{figure}\",le=\"{le}\"}} {cumulative}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "itpx_figure_latency_ms_bucket{{figure=\"{figure}\",le=\"+Inf\"}} {}\n\
-                 itpx_figure_latency_ms_sum{{figure=\"{figure}\"}} {}\n\
-                 itpx_figure_latency_ms_count{{figure=\"{figure}\"}} {}\n",
-                h.count, h.sum_ms, h.count
-            ));
+        for (figure, latency) in hists.iter() {
+            latency.render(figure, &mut out);
         }
         out
     }
@@ -480,13 +487,22 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_cumulative_in_render() {
-        let mut h = Histogram::default();
-        h.record(0);
-        h.record(3);
-        h.record(100_000);
-        assert_eq!(h.count, 3);
-        assert_eq!(h.buckets[0], 1);
-        assert_eq!(h.buckets[1], 1);
-        assert_eq!(h.buckets[LATENCY_BUCKETS_MS.len()], 1);
+        let metrics = Metrics::default();
+        for ms in [0, 3, 100_000] {
+            metrics.record_figure("fig02", ms);
+        }
+        let mut out = String::new();
+        metrics.figure_latency.lock().expect("metrics lock")["fig02"].render("fig02", &mut out);
+        let bucket = |le: &str| {
+            let prefix = format!("itpx_figure_latency_ms_bucket{{figure=\"fig02\",le=\"{le}\"}} ");
+            let count = out.lines().find_map(|l| l.strip_prefix(&prefix));
+            count.expect(le).parse::<u64>().expect("count")
+        };
+        assert_eq!(bucket("1"), 1, "0 ms lands in the first bucket");
+        assert_eq!(bucket("3"), 2, "3 ms lands in [2, 4)");
+        assert_eq!(bucket("65535"), 2, "100 s is past the last finite bound");
+        assert_eq!(bucket("+Inf"), 3);
+        assert!(out.contains("itpx_figure_latency_ms_sum{figure=\"fig02\"} 100003\n"));
+        assert!(out.contains("itpx_figure_latency_ms_count{figure=\"fig02\"} 3\n"));
     }
 }

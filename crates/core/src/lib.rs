@@ -12,9 +12,10 @@
 //!   replacement policy that protects blocks holding *data* page-table
 //!   entries, absorbing the extra data page walks iTP causes
 //!   (Section 4.2, Figure 6).
-//! * [`AdaptiveXptp`] + [`StlbPressureMonitor`] — the phase-adaptive scheme
-//!   that enables xPTP only while the STLB is under pressure
-//!   (Section 4.3.1, Figure 7 step 5).
+//! * [`Xptp::adaptive`] + [`StlbPressureMonitor`] — the phase-adaptive
+//!   scheme that enables xPTP only while the STLB is under pressure
+//!   (Section 4.3.1, Figure 7 step 5): the same policy, with its steps
+//!   a–d gated by the monitor's 1-bit [`XptpSwitch`].
 //! * [`Preset`] — the policy/structure assignment matrix of the paper's
 //!   Table 2, used by the evaluation harness.
 //!
@@ -47,10 +48,9 @@
 pub mod presets;
 pub mod registry;
 
-pub use itpx_policy::{adaptive, extension, itp, xptp};
+pub use itpx_policy::{adaptive, itp, xptp};
 
-pub use adaptive::{AdaptiveXptp, StlbPressureMonitor, XptpSwitch};
-pub use extension::XptpEmissary;
+pub use adaptive::{StlbPressureMonitor, XptpSwitch};
 pub use itp::{Itp, ItpParams};
 pub use presets::{LlcChoice, PolicyBundle, Preset};
 pub use registry::{cache_policies, tlb_policies, PolicyEntry};

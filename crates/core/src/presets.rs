@@ -6,12 +6,10 @@
 //! study). [`Preset::build`] manufactures the concrete policy objects sized
 //! for a given system configuration.
 
-use crate::adaptive::{AdaptiveXptp, StlbPressureMonitor, XptpSwitch};
+use crate::adaptive::{StlbPressureMonitor, XptpSwitch};
 use crate::itp::{Itp, ItpParams};
 use crate::xptp::{Xptp, XptpParams};
-use itpx_policy::{
-    CachePolicyEngine, Chirp, Lru, Mockingjay, Ptp, Ship, TShip, Tdrrip, TlbPolicyEngine,
-};
+use itpx_policy::{CachePolicyEngine, Chirp, Drrip, Lru, Mockingjay, Ptp, Ship, TlbPolicyEngine};
 use itpx_types::fingerprint::{Fingerprint, Fnv1a};
 
 /// One row of the paper's Table 2: the (STLB policy, L2C policy) pair.
@@ -43,7 +41,7 @@ pub enum Preset {
     ItpXptpStatic,
     /// iTP at STLB + xPTP-with-Emissary-style code preservation at L2C —
     /// the extension the paper's Section 7 conjectures (not a Table 2
-    /// row; see [`crate::XptpEmissary`]).
+    /// row; see [`Xptp::with_emissary`]).
     ItpXptpEmissary,
 }
 
@@ -112,7 +110,7 @@ impl Preset {
         let l2c: CachePolicyEngine = match self {
             Preset::Lru | Preset::Chirp | Preset::Itp => Lru::new(ls, lw).into(),
             Preset::Tdrrip | Preset::ChirpTdrrip | Preset::ItpTdrrip => {
-                Tdrrip::new(ls, lw, cfg.seed ^ 0x7d2).into()
+                Drrip::translation_aware(ls, lw, cfg.seed ^ 0x7d2).into()
             }
             Preset::Ptp | Preset::ChirpPtp | Preset::ItpPtp => Ptp::new(ls, lw).into(),
             Preset::ItpXptp => {
@@ -122,17 +120,17 @@ impl Preset {
                     cfg.epoch_instructions,
                     cfg.t1,
                 ));
-                AdaptiveXptp::new(ls, lw, cfg.xptp, switch).into()
+                Xptp::adaptive(ls, lw, cfg.xptp, switch).into()
             }
             Preset::ItpXptpStatic => Xptp::new(ls, lw, cfg.xptp).into(),
-            Preset::ItpXptpEmissary => crate::extension::XptpEmissary::new(ls, lw, cfg.xptp).into(),
+            Preset::ItpXptpEmissary => Xptp::with_emissary(ls, lw, cfg.xptp).into(),
         };
         let (cs, cw) = dims.llc;
         let llc: CachePolicyEngine = match cfg.llc {
             LlcChoice::Lru => Lru::new(cs, cw).into(),
             LlcChoice::Ship => Ship::new(cs, cw).into(),
             LlcChoice::Mockingjay => Mockingjay::new(cs, cw).into(),
-            LlcChoice::TShip => TShip::new(cs, cw).into(),
+            LlcChoice::TShip => Ship::translation_aware(cs, cw).into(),
         };
         PolicyBundle {
             stlb,

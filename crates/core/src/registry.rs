@@ -2,21 +2,22 @@
 //!
 //! `cargo xtask analyze` and the cross-policy test suites need to
 //! instantiate *all* policies uniformly — for the hardware-budget audit,
-//! for the [`itpx_policy::CheckedPolicy`] contract drive, and for the
-//! name-stability test. This module is the single place that knows how to
-//! build each one, so a policy added to the workspace only has to be
-//! registered here to be covered by every audit.
+//! for the [`itpx_policy::CheckedPolicy`] contract drive, for the
+//! decision digests, and for the name-stability test. This module is the
+//! single place that knows how to build each one, so a policy added to the
+//! workspace only has to be registered here to be covered by every audit.
+//! Each entry builds the enum engine the simulated machine runs, so every
+//! audit drives exactly what the machine executes.
 //!
 //! Stochastic policies are built from fixed seeds; the registry is fully
 //! deterministic.
 
-use crate::adaptive::AdaptiveXptp;
-use crate::extension::XptpEmissary;
+use crate::adaptive::XptpSwitch;
 use crate::itp::{Itp, ItpParams};
 use crate::xptp::{Xptp, XptpParams};
 use itpx_policy::{
-    Brrip, CacheMeta, Chirp, Dip, Drrip, Lru, Mockingjay, Policy, PolicyMeta, ProbKeepInstrLru,
-    Ptp, RandomEvict, Ship, Srrip, TShip, Tdrrip, TlbMeta, TreePlru,
+    Brrip, CacheMeta, Chirp, Dip, Drrip, Lru, Mockingjay, PolicyMeta, ProbKeepInstrLru, Ptp,
+    RandomEvict, Ship, Srrip, TlbMeta, TreePlru,
 };
 
 /// Seed used for every stochastic policy the registry builds.
@@ -34,14 +35,11 @@ pub struct PolicyEntry<M: PolicyMeta> {
     /// Geometry constraint: `true` when the policy's tree structure needs a
     /// power-of-two associativity (tree PLRU).
     pub pow2_ways_only: bool,
-    /// Builds the policy for a `sets × ways` structure as a trait object
-    /// (the form the contract and budget audits drive).
-    pub build: fn(usize, usize) -> Box<dyn Policy<M>>,
-    /// Builds the same policy into its enum-engine variant — the form the
-    /// simulated machine runs. The `engine_equivalence` suite asserts both
-    /// constructions decide identically, and `engine_covers_registry` that
-    /// none falls back to the engines' `Dyn` escape hatch.
-    pub build_engine: fn(usize, usize) -> M::Engine,
+    /// Builds the policy for a `sets × ways` structure into its enum-engine
+    /// variant — the form the simulated machine runs and every audit
+    /// drives. `engine_covers_registry` asserts none falls back to the
+    /// engines' `Dyn` escape hatch.
+    pub build: fn(usize, usize) -> M::Engine,
 }
 
 impl<M: PolicyMeta> PolicyEntry<M> {
@@ -92,116 +90,91 @@ pub fn cache_policies() -> Vec<PolicyEntry<CacheMeta>> {
             name: "lru",
             baseline: None,
             pow2_ways_only: false,
-            build: |s, w| Box::new(Lru::new(s, w)),
-            build_engine: |s, w| Lru::new(s, w).into(),
+            build: |s, w| Lru::new(s, w).into(),
         },
         PolicyEntry {
             name: "tree-plru",
             baseline: None,
             pow2_ways_only: true,
-            build: |s, w| Box::new(TreePlru::new(s, w)),
-            build_engine: |s, w| TreePlru::new(s, w).into(),
+            build: |s, w| TreePlru::new(s, w).into(),
         },
         PolicyEntry {
             name: "random",
             baseline: None,
             pow2_ways_only: false,
-            build: |_, w| Box::new(RandomEvict::new(w, REGISTRY_SEED)),
-            build_engine: |_, w| RandomEvict::new(w, REGISTRY_SEED).into(),
+            build: |_, w| RandomEvict::new(w, REGISTRY_SEED).into(),
         },
         PolicyEntry {
             name: "srrip",
             baseline: None,
             pow2_ways_only: false,
-            build: |s, w| Box::new(Srrip::new(s, w)),
-            build_engine: |s, w| Srrip::new(s, w).into(),
+            build: |s, w| Srrip::new(s, w).into(),
         },
         PolicyEntry {
             name: "brrip",
             baseline: None,
             pow2_ways_only: false,
-            build: |s, w| Box::new(Brrip::new(s, w, REGISTRY_SEED)),
-            build_engine: |s, w| Brrip::new(s, w, REGISTRY_SEED).into(),
+            build: |s, w| Brrip::new(s, w, REGISTRY_SEED).into(),
         },
         PolicyEntry {
             name: "drrip",
             baseline: None,
             pow2_ways_only: false,
-            build: |s, w| Box::new(Drrip::new(s, w, REGISTRY_SEED)),
-            build_engine: |s, w| Drrip::new(s, w, REGISTRY_SEED).into(),
+            build: |s, w| Drrip::new(s, w, REGISTRY_SEED).into(),
         },
         PolicyEntry {
             name: "dip",
             baseline: Some("lru"),
             pow2_ways_only: false,
-            build: |s, w| Box::new(Dip::new(s, w, REGISTRY_SEED)),
-            build_engine: |s, w| Dip::new(s, w, REGISTRY_SEED).into(),
+            build: |s, w| Dip::new(s, w, REGISTRY_SEED).into(),
         },
         PolicyEntry {
             name: "ship",
             baseline: None,
             pow2_ways_only: false,
-            build: |s, w| Box::new(Ship::new(s, w)),
-            build_engine: |s, w| Ship::new(s, w).into(),
+            build: |s, w| Ship::new(s, w).into(),
         },
         PolicyEntry {
             name: "tship",
             baseline: Some("ship"),
             pow2_ways_only: false,
-            build: |s, w| Box::new(TShip::new(s, w)),
-            build_engine: |s, w| TShip::new(s, w).into(),
+            build: |s, w| Ship::translation_aware(s, w).into(),
         },
         PolicyEntry {
             name: "mockingjay",
             baseline: None,
             pow2_ways_only: false,
-            build: |s, w| Box::new(Mockingjay::new(s, w)),
-            build_engine: |s, w| Mockingjay::new(s, w).into(),
+            build: |s, w| Mockingjay::new(s, w).into(),
         },
         PolicyEntry {
             name: "ptp",
             baseline: Some("lru"),
             pow2_ways_only: false,
-            build: |s, w| Box::new(Ptp::new(s, w)),
-            build_engine: |s, w| Ptp::new(s, w).into(),
+            build: |s, w| Ptp::new(s, w).into(),
         },
         PolicyEntry {
             name: "tdrrip",
             baseline: Some("srrip"),
             pow2_ways_only: false,
-            build: |s, w| Box::new(Tdrrip::new(s, w, REGISTRY_SEED)),
-            build_engine: |s, w| Tdrrip::new(s, w, REGISTRY_SEED).into(),
+            build: |s, w| Drrip::translation_aware(s, w, REGISTRY_SEED).into(),
         },
         PolicyEntry {
             name: "xptp",
             baseline: Some("lru"),
             pow2_ways_only: false,
-            build: |s, w| Box::new(Xptp::new(s, w, xptp_params_for(w))),
-            build_engine: |s, w| Xptp::new(s, w, xptp_params_for(w)).into(),
+            build: |s, w| Xptp::new(s, w, xptp_params_for(w)).into(),
         },
         PolicyEntry {
             name: "xptp/lru",
             baseline: Some("lru"),
             pow2_ways_only: false,
-            build: |s, w| {
-                Box::new(AdaptiveXptp::new(
-                    s,
-                    w,
-                    xptp_params_for(w),
-                    crate::adaptive::XptpSwitch::new(),
-                ))
-            },
-            build_engine: |s, w| {
-                AdaptiveXptp::new(s, w, xptp_params_for(w), crate::adaptive::XptpSwitch::new())
-                    .into()
-            },
+            build: |s, w| Xptp::adaptive(s, w, xptp_params_for(w), XptpSwitch::new()).into(),
         },
         PolicyEntry {
             name: "xptp+emissary",
             baseline: Some("lru"),
             pow2_ways_only: false,
-            build: |s, w| Box::new(XptpEmissary::new(s, w, xptp_params_for(w))),
-            build_engine: |s, w| XptpEmissary::new(s, w, xptp_params_for(w)).into(),
+            build: |s, w| Xptp::with_emissary(s, w, xptp_params_for(w)).into(),
         },
     ]
 }
@@ -213,43 +186,37 @@ pub fn tlb_policies() -> Vec<PolicyEntry<TlbMeta>> {
             name: "lru",
             baseline: None,
             pow2_ways_only: false,
-            build: |s, w| Box::new(Lru::new(s, w)),
-            build_engine: |s, w| Lru::new(s, w).into(),
+            build: |s, w| Lru::new(s, w).into(),
         },
         PolicyEntry {
             name: "tree-plru",
             baseline: None,
             pow2_ways_only: true,
-            build: |s, w| Box::new(TreePlru::new(s, w)),
-            build_engine: |s, w| TreePlru::new(s, w).into(),
+            build: |s, w| TreePlru::new(s, w).into(),
         },
         PolicyEntry {
             name: "random",
             baseline: None,
             pow2_ways_only: false,
-            build: |_, w| Box::new(RandomEvict::new(w, REGISTRY_SEED)),
-            build_engine: |_, w| RandomEvict::new(w, REGISTRY_SEED).into(),
+            build: |_, w| RandomEvict::new(w, REGISTRY_SEED).into(),
         },
         PolicyEntry {
             name: "chirp",
             baseline: Some("lru"),
             pow2_ways_only: false,
-            build: |s, w| Box::new(Chirp::new(s, w)),
-            build_engine: |s, w| Chirp::new(s, w).into(),
+            build: |s, w| Chirp::new(s, w).into(),
         },
         PolicyEntry {
             name: "prob-keep-instr-lru",
             baseline: Some("lru"),
             pow2_ways_only: false,
-            build: |s, w| Box::new(ProbKeepInstrLru::new(s, w, 0.5, REGISTRY_SEED)),
-            build_engine: |s, w| ProbKeepInstrLru::new(s, w, 0.5, REGISTRY_SEED).into(),
+            build: |s, w| ProbKeepInstrLru::new(s, w, 0.5, REGISTRY_SEED).into(),
         },
         PolicyEntry {
             name: "itp",
             baseline: Some("lru"),
             pow2_ways_only: false,
-            build: |s, w| Box::new(Itp::new(s, w, itp_params_for(w))),
-            build_engine: |s, w| Itp::new(s, w, itp_params_for(w)).into(),
+            build: |s, w| Itp::new(s, w, itp_params_for(w)).into(),
         },
     ]
 }
@@ -257,16 +224,6 @@ pub fn tlb_policies() -> Vec<PolicyEntry<TlbMeta>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_names_match_built_policies() {
-        for e in cache_policies() {
-            assert_eq!((e.build)(16, 8).name(), e.name);
-        }
-        for e in tlb_policies() {
-            assert_eq!((e.build)(16, 4).name(), e.name);
-        }
-    }
 
     #[test]
     fn baselines_resolve_within_the_registry() {

@@ -52,8 +52,8 @@ fn cache_meta(rng: &mut Rng64) -> CacheMeta {
 /// Drives one policy under `CheckedPolicy`. In debug builds any contract
 /// violation panics inside the wrapper (surfacing as a test failure with
 /// the offending seed); the returned list covers release-mode runs.
-fn drive<M: Copy>(
-    inner: Box<dyn Policy<M>>,
+fn drive<M: Copy, P: Policy<M>>(
+    inner: P,
     sets: usize,
     ways: usize,
     seed: u64,

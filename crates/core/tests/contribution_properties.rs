@@ -1,7 +1,7 @@
 //! Property tests for the paper's policies: the Figure 5/6 flowchart rules
 //! hold under arbitrary access sequences.
 
-use itpx_core::{AdaptiveXptp, Itp, ItpParams, Xptp, XptpParams, XptpSwitch};
+use itpx_core::{Itp, ItpParams, Xptp, XptpParams, XptpSwitch};
 use itpx_policy::{CacheMeta, Policy, TlbMeta};
 use itpx_types::{FillClass, TranslationKind};
 use proptest::prelude::*;
@@ -104,7 +104,7 @@ proptest! {
         fills in prop::collection::vec(0usize..8, 8..60)
     ) {
         let switch = XptpSwitch::new(); // off
-        let mut a = AdaptiveXptp::new(1, 8, XptpParams::default(), switch);
+        let mut a = Xptp::adaptive(1, 8, XptpParams::default(), switch);
         let mut l = itpx_policy::Lru::new(1, 8);
         for (i, &way) in fills.iter().enumerate() {
             let m = CacheMeta::demand(i as u64, if i % 3 == 0 { FillClass::DataPte } else { FillClass::DataPayload });

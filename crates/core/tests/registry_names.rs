@@ -1,7 +1,8 @@
 //! Name-stability tests: every policy name is unique within its structure
-//! class, `name()` agrees with the registry, and the preset table only
-//! builds registered policies. Reports (`docs/hardware-budget.md`, the
-//! evaluation CSVs) key on these strings, so renames are breaking changes.
+//! class, `name()` agrees with the registry, every entry builds its own
+//! engine variant, and the preset table only builds registered policies.
+//! Reports (`docs/hardware-budget.md`, the evaluation CSVs) key on these
+//! strings, so renames are breaking changes.
 
 use itpx_core::presets::{BuildConfig, LlcChoice, Preset, StructureDims};
 use itpx_core::registry::{cache_policies, tlb_policies};
@@ -45,6 +46,27 @@ fn built_policies_report_their_registry_name() {
     for e in tlb_policies() {
         let built = (e.build)(16, 4);
         assert_eq!(built.name(), e.name, "TLB registry/name mismatch");
+    }
+}
+
+/// No registered policy may dispatch through the engines' `Dyn` escape
+/// hatch: the enum variant list (in `itpx_policy::engine`) must cover the
+/// registry, which is the single source of truth for "every policy".
+#[test]
+fn engine_covers_registry() {
+    for e in cache_policies() {
+        assert!(
+            !(e.build)(16, 8).is_dyn(),
+            "cache policy {} has no engine variant",
+            e.name
+        );
+    }
+    for e in tlb_policies() {
+        assert!(
+            !(e.build)(16, 4).is_dyn(),
+            "tlb policy {} has no engine variant",
+            e.name
+        );
     }
 }
 

@@ -2,12 +2,12 @@
 //! eviction pressure, data-PTE blocks outlive payload blocks while the
 //! switch is on, and are evicted in plain recency order while it is off.
 //!
-//! The policy-level unit tests in `core/src/adaptive.rs` drive the
+//! The policy-level unit tests in `itpx-policy`'s `xptp.rs` drive the
 //! victim selector directly; this test goes through `Hierarchy` instead,
 //! so the PTE `Type` bits are set by real `pte_access` traffic and the
 //! pressure comes from real demand fills walking the chain.
 
-use itpx_core::{AdaptiveXptp, XptpParams, XptpSwitch};
+use itpx_core::{Xptp, XptpParams, XptpSwitch};
 use itpx_mem::hierarchy::{HierarchyPolicies, LevelHooks};
 use itpx_mem::{Hierarchy, HierarchyConfig};
 use itpx_policy::Lru;
@@ -28,7 +28,7 @@ fn chain_with(switch: XptpSwitch) -> Hierarchy {
     let policies = HierarchyPolicies {
         l1i: Lru::new(64, 8).into(),
         l1d: Lru::new(64, 8).into(),
-        l2: AdaptiveXptp::new(1024, 8, XptpParams::default(), switch).into(),
+        l2: Xptp::adaptive(1024, 8, XptpParams::default(), switch).into(),
         llc: Lru::new(2048, 16).into(),
     };
     let mut chain = Hierarchy::new(&cfg, policies);

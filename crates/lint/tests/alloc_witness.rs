@@ -150,7 +150,7 @@ fn zero_steady_state_allocations_for_every_registered_policy() {
             latency: 1,
             mshr_entries: 8,
         };
-        let mut cache = Cache::new(cfg, (entry.build_engine)(SETS, WAYS));
+        let mut cache = Cache::new(cfg, (entry.build)(SETS, WAYS));
         let mut r = Rng64::new(REGISTRY_SEED ^ 0xcac4e);
         let mut now = 0;
         for _ in 0..WARMUP {
@@ -176,7 +176,7 @@ fn zero_steady_state_allocations_for_every_registered_policy() {
             latency: 1,
             mshr_entries: 8,
         };
-        let mut tlb = Tlb::new(cfg, (entry.build_engine)(SETS, WAYS));
+        let mut tlb = Tlb::new(cfg, (entry.build)(SETS, WAYS));
         let mut r = Rng64::new(REGISTRY_SEED ^ 0x71b);
         let mut now = 0;
         for _ in 0..WARMUP {

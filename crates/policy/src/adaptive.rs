@@ -8,18 +8,17 @@
 //! the status bit then selects xPTP or plain LRU victim selection for the
 //! next epoch.
 //!
-//! This module provides the three pieces:
+//! This module provides the monitor's two pieces:
 //!
 //! * [`XptpSwitch`] — the shared 1-bit status register,
 //! * [`StlbPressureMonitor`] — the counters, owned by the simulated system
-//!   which reports retired instructions and STLB misses,
-//! * [`AdaptiveXptp`] — an L2C policy that applies xPTP victim selection
-//!   when the switch is on and degenerates to LRU when it is off (the
-//!   paper notes xPTP *is* LRU when its steps a–d are skipped).
+//!   which reports retired instructions and STLB misses.
+//!
+//! The policy that reads the switch is [`crate::Xptp::adaptive`]: it
+//! applies xPTP victim selection when the switch is on and degenerates to
+//! LRU when it is off (the paper notes xPTP *is* LRU when its steps a–d
+//! are skipped).
 
-use crate::xptp::{Xptp, XptpParams};
-use crate::{CacheMeta, Policy, RecencyStack};
-use itpx_types::SetGrid;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -130,84 +129,9 @@ impl StlbPressureMonitor {
     }
 }
 
-/// xPTP with the adaptive enable bit: victim selection follows Figure 6
-/// while the switch is on and plain LRU while it is off. Insertion and
-/// promotion (including `Type`-bit maintenance) are identical in both
-/// modes, so no state is lost across phase changes.
-#[derive(Debug)]
-pub struct AdaptiveXptp {
-    params: XptpParams,
-    switch: XptpSwitch,
-    stack: RecencyStack,
-    is_data_pte: SetGrid<bool>,
-}
-
-impl AdaptiveXptp {
-    /// Creates an adaptive xPTP policy controlled by `switch`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.k` is 0 or exceeds `ways`.
-    pub fn new(sets: usize, ways: usize, params: XptpParams, switch: XptpSwitch) -> Self {
-        assert!(
-            params.k >= 1 && params.k <= ways,
-            "xPTP requires 1 <= K <= ways (K={}, ways={ways})",
-            params.k
-        );
-        Self {
-            params,
-            switch,
-            stack: RecencyStack::new(sets, ways),
-            is_data_pte: SetGrid::new(sets, ways, false),
-        }
-    }
-
-    /// The switch controlling this policy.
-    pub fn switch(&self) -> &XptpSwitch {
-        &self.switch
-    }
-}
-
-impl Policy<CacheMeta> for AdaptiveXptp {
-    fn on_fill(&mut self, set: usize, way: usize, meta: &CacheMeta) {
-        self.is_data_pte.row_mut(set)[way] = meta.fill.is_data_pte();
-        self.stack.touch(set, way);
-    }
-
-    fn on_hit(&mut self, set: usize, way: usize, meta: &CacheMeta) {
-        if meta.fill.is_data_pte() {
-            self.is_data_pte.row_mut(set)[way] = true;
-        }
-        self.stack.touch(set, way);
-    }
-
-    fn victim(&mut self, set: usize, _incoming: &CacheMeta) -> usize {
-        if self.switch.is_enabled() {
-            Xptp::select_victim(&self.stack, self.is_data_pte.row(set), set, self.params.k)
-        } else {
-            self.stack.lru(set)
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "xptp/lru"
-    }
-
-    fn meta_bits(&self, sets: usize, ways: usize) -> u64 {
-        // xPTP storage + the shared 1-bit status register (the monitor's
-        // counters belong to the core, not the replacement policy).
-        sets as u64 * ways as u64 * (crate::traits::rank_bits(ways) + 1) + 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use itpx_types::FillClass;
-
-    fn m(b: u64, fill: FillClass) -> CacheMeta {
-        CacheMeta::demand(b, fill)
-    }
 
     #[test]
     fn switch_starts_off_and_toggles() {
@@ -255,34 +179,6 @@ mod tests {
         mon.on_retire(10);
         assert!(!s.is_enabled());
         assert!((mon.enabled_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn disabled_behaves_as_lru_enabled_as_xptp() {
-        let s = XptpSwitch::new();
-        let mut p = AdaptiveXptp::new(1, 4, XptpParams { k: 4 }, s.clone());
-        p.on_fill(0, 0, &m(0, FillClass::DataPte)); // LRU block, data PTE
-        for w in 1..4 {
-            p.on_fill(0, w, &m(w as u64, FillClass::DataPayload));
-        }
-        // Off: LRU victim, even though it is a data PTE.
-        assert_eq!(p.victim(0, &m(9, FillClass::DataPayload)), 0);
-        // On: the data PTE is protected.
-        s.set(true);
-        assert_eq!(p.victim(0, &m(9, FillClass::DataPayload)), 1);
-    }
-
-    #[test]
-    fn type_bits_survive_phase_changes() {
-        let s = XptpSwitch::new();
-        let mut p = AdaptiveXptp::new(1, 2, XptpParams { k: 2 }, s.clone());
-        p.on_fill(0, 0, &m(0, FillClass::DataPte));
-        p.on_fill(0, 1, &m(1, FillClass::DataPayload));
-        s.set(false);
-        let _ = p.victim(0, &m(2, FillClass::DataPayload));
-        s.set(true);
-        // The Type bit recorded while "off" still protects the block.
-        assert_eq!(p.victim(0, &m(3, FillClass::DataPayload)), 1);
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! Type/Freq update, xPTP's PTE check) — at campaign scale the dispatch
 //! costs more than the policy. [`CachePolicyEngine`] and
 //! [`TlbPolicyEngine`] replace the box with an enum carrying one variant
-//! per in-tree policy, so dispatch is a `match` instead of a virtual
-//! call.
+//! per in-tree policy type — 11 for caches, 6 for TLBs — so dispatch is a
+//! `match` instead of a virtual call. Configurations of one policy share
+//! its variant: static, adaptive and Emissary xPTP are all
+//! [`CachePolicyEngine::Xptp`], and T-DRRIP/T-SHiP are the
+//! translation-aware [`Drrip`]/[`Ship`].
 //!
 //! The `match` inlines into its caller, but the policy bodies behind it
 //! do not cross the crate boundary: in the release build
@@ -22,15 +25,15 @@
 //!
 //! The enums are generated by one macro invocation per metadata type, and
 //! the variant list is cross-checked against `itpx-core`'s registry (the
-//! single source of truth for "every policy in the workspace") by the
-//! `engine_covers_registry` test there: a policy registered without an
+//! single source of truth for "every policy in the workspace") by its
+//! `engine_covers_registry` test: a policy registered without an
 //! engine variant would build through [`Dyn`](CachePolicyEngine::Dyn) and
 //! fail that test.
 //!
 //! The `Dyn` variant is the escape hatch for everything that genuinely
-//! needs a trait object — [`crate::CheckedPolicy`] wrappers, the
-//! strict-contracts drives, and out-of-tree policies — at the usual
-//! virtual-call price.
+//! needs a trait object inside a structure — out-of-tree policies, or a
+//! [`crate::CheckedPolicy`] wrapper installed in a `Cache`/`Tlb` — at the
+//! usual virtual-call price.
 //!
 //! # Examples
 //!
@@ -50,10 +53,8 @@
 //! assert!(boxed.is_dyn());
 //! ```
 
-use crate::adaptive::AdaptiveXptp;
 use crate::chirp::Chirp;
 use crate::dip::Dip;
-use crate::extension::XptpEmissary;
 use crate::itp::Itp;
 use crate::lru::Lru;
 use crate::meta::{CacheMeta, TlbMeta};
@@ -64,9 +65,7 @@ use crate::ptp::Ptp;
 use crate::random::RandomEvict;
 use crate::rrip::{Brrip, Drrip, Srrip};
 use crate::ship::Ship;
-use crate::tdrrip::Tdrrip;
 use crate::traits::Policy;
-use crate::tship::TShip;
 use crate::xptp::Xptp;
 
 /// Ties a metadata type to its statically dispatched engine, so generic
@@ -199,13 +198,9 @@ policy_engine! {
         Drrip,
         Dip,
         Ship,
-        TShip,
         Mockingjay,
         Ptp,
-        Tdrrip,
         Xptp,
-        AdaptiveXptp,
-        XptpEmissary,
     }
 }
 

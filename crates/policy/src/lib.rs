@@ -16,12 +16,12 @@
 //! | [`Ship`] | caches | Wu et al., MICRO'11 |
 //! | [`Mockingjay`] | caches | Shah et al., HPCA'22 (simplified) |
 //! | [`Ptp`] | L2C | Park et al., ASPLOS'22 |
-//! | [`Tdrrip`] | L2C | Vasudha & Panda, ISPASS'22 |
-//! | [`TShip`] | LLC | Vasudha & Panda, ISPASS'22 (extension; the paper applies only T-DRRIP) |
+//! | [`Drrip::translation_aware`] (T-DRRIP) | L2C | Vasudha & Panda, ISPASS'22 |
+//! | [`Ship::translation_aware`] (T-SHiP) | LLC | Vasudha & Panda, ISPASS'22 (extension; the paper applies only T-DRRIP) |
 //! | [`Chirp`] | STLB | Mirbagher-Ajorpaz et al., MICRO'20 (simplified) |
 //! | [`ProbKeepInstrLru`] | STLB | the Figure-3 motivation policy |
 //! | [`Itp`] | STLB | the paper's Section 4.1 proposal |
-//! | [`Xptp`] / [`AdaptiveXptp`] / [`XptpEmissary`] | L2C | Section 4.2 / 4.3.1 / extension |
+//! | [`Xptp`] / [`Xptp::adaptive`] / [`Xptp::with_emissary`] | L2C | Section 4.2 / 4.3.1 / Section 7 extension |
 //!
 //! Every policy implements [`Policy`] over either [`CacheMeta`] or
 //! [`TlbMeta`]. The cache and TLB models in `itpx-mem`/`itpx-vm` store them
@@ -53,7 +53,6 @@ pub mod checked;
 pub mod chirp;
 pub mod dip;
 pub mod engine;
-pub mod extension;
 pub mod itp;
 pub mod lru;
 pub mod meta;
@@ -65,17 +64,14 @@ pub mod random;
 pub mod recency;
 pub mod rrip;
 pub mod ship;
-pub mod tdrrip;
 pub mod traits;
-pub mod tship;
 pub mod xptp;
 
-pub use adaptive::{AdaptiveXptp, StlbPressureMonitor, XptpSwitch};
+pub use adaptive::{StlbPressureMonitor, XptpSwitch};
 pub use checked::CheckedPolicy;
 pub use chirp::Chirp;
 pub use dip::Dip;
 pub use engine::{CachePolicyEngine, PolicyMeta, TlbPolicyEngine};
-pub use extension::XptpEmissary;
 pub use itp::{Itp, ItpParams};
 pub use lru::Lru;
 pub use meta::{CacheMeta, TlbMeta};
@@ -87,7 +83,5 @@ pub use random::RandomEvict;
 pub use recency::RecencyStack;
 pub use rrip::{Brrip, Drrip, Srrip};
 pub use ship::Ship;
-pub use tdrrip::Tdrrip;
 pub use traits::{CachePolicy, Policy, TlbPolicy};
-pub use tship::TShip;
 pub use xptp::{Xptp, XptpParams};

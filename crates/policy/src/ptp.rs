@@ -57,22 +57,11 @@ impl Policy<CacheMeta> for Ptp {
     fn victim(&mut self, set: usize, _incoming: &CacheMeta) -> usize {
         // Protect the `quota` most recently used PTE ways; everything else
         // (payload and excess PTEs) is fair game in LRU order.
-        let mut protected = [false; 64];
-        let mut count = 0usize;
-        for w in self.stack.iter_mru_to_lru(set) {
-            if count >= self.quota {
-                break;
-            }
-            if self.is_pte.row(set)[w] {
-                // .min(63) clamps into the fixed 64-way bitmap
-                protected[w.min(63)] = true;
-                count += 1;
-            }
-        }
+        let is_pte = self.is_pte.row(set);
+        let protected = self.stack.recent_mask(set, self.quota, |w| is_pte[w]);
         self.stack
             .iter_lru_to_mru(set)
-            // .min(63) clamps into the fixed 64-way bitmap
-            .find(|&w| !protected[w.min(63)])
+            .find(|&w| (protected >> w) & 1 == 0)
             .unwrap_or_else(|| self.stack.lru(set))
     }
 

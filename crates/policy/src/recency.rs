@@ -37,13 +37,13 @@ impl RecencyStack {
     ///
     /// # Panics
     ///
-    /// Panics if `sets == 0`, `ways == 0`, or `ways > u16::MAX as usize`.
+    /// Panics if `sets == 0`, `ways == 0`, or `ways > 64`.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(
             sets > 0 && ways > 0,
             "RecencyStack needs sets > 0, ways > 0"
         );
-        assert!(ways <= u16::MAX as usize, "way count exceeds u16");
+        assert!(ways <= 64, "way masks hold at most 64 ways");
         Self {
             ways,
             order: SetGrid::from_row_fn(sets, ways, |d| d as u16),
@@ -136,6 +136,16 @@ impl RecencyStack {
     pub fn iter_mru_to_lru(&self, set: usize) -> impl Iterator<Item = usize> + '_ {
         self.order.row(set).iter().map(|&w| w as usize)
     }
+
+    /// The `quota` most recently used ways of `set` matching `pred`, as a
+    /// way mask (bit `w` set = way `w` selected) — the bounded protection
+    /// PTP gives PTE blocks and Emissary gives code blocks.
+    pub fn recent_mask(&self, set: usize, quota: usize, pred: impl Fn(usize) -> bool) -> u64 {
+        self.iter_mru_to_lru(set)
+            .filter(|&w| pred(w))
+            .take(quota)
+            .fold(0, |mask, w| mask | (1 << w))
+    }
 }
 
 #[cfg(test)]
@@ -205,6 +215,24 @@ mod tests {
         for w in 0..8 {
             assert_eq!(rs.depth_of(0, w) + rs.height_of(0, w), 7);
         }
+    }
+
+    #[test]
+    fn recent_mask_takes_the_most_recent_matches() {
+        let mut rs = RecencyStack::new(1, 6);
+        for w in [0, 1, 2, 3, 4, 5] {
+            rs.touch(0, w); // MRU->LRU: 5,4,3,2,1,0
+        }
+        let even = |w: usize| w.is_multiple_of(2);
+        assert_eq!(rs.recent_mask(0, 2, even), 1 << 4 | 1 << 2);
+        assert_eq!(rs.recent_mask(0, 9, even), 1 << 4 | 1 << 2 | 1);
+        assert_eq!(rs.recent_mask(0, 0, even), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 ways")]
+    fn more_than_64_ways_panics() {
+        let _ = RecencyStack::new(1, 65);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The RRIP family (Jaleel et al., ISCA 2010): SRRIP, BRRIP, and the
-//! set-dueling hybrid DRRIP. These are the translation-oblivious baselines
-//! T-DRRIP builds on and a common vendor-grade cache policy.
+//! set-dueling hybrid DRRIP — a common vendor-grade cache policy — plus
+//! the insertion override that makes DRRIP and SHiP translation-aware
+//! (T-DRRIP and T-SHiP, Vasudha & Panda, ISPASS 2022).
 
 use crate::meta::CacheMeta;
 use crate::traits::Policy;
@@ -12,6 +13,25 @@ pub(crate) const RRPV_MAX: u8 = 3;
 pub(crate) const RRPV_BITS: u64 = 2;
 /// "Long re-reference interval" insertion value.
 pub(crate) const RRPV_LONG: u8 = 2;
+
+/// The insertion override of T-DRRIP and T-SHiP, when `translation_aware`:
+/// a block holding a PTE (either kind — like PTP, neither distinguishes
+/// instruction from data PTEs) inserts at RRPV 0 (keep), and a demand
+/// block whose access also missed the STLB inserts at `RRPV_MAX` (evict
+/// soon — its latency is dominated by the page walk anyway). `None`
+/// leaves the fill to the base policy's rule. Callers check it before
+/// their base rule, so overridden fills draw no random numbers.
+pub(crate) fn translation_override(translation_aware: bool, meta: &CacheMeta) -> Option<u8> {
+    if !translation_aware {
+        None
+    } else if meta.fill.is_pte() {
+        Some(0)
+    } else if meta.stlb_miss {
+        Some(RRPV_MAX)
+    } else {
+        None
+    }
+}
 
 /// Shared RRPV bookkeeping for the RRIP family.
 #[derive(Debug, Clone)]
@@ -201,12 +221,14 @@ impl SetDuel {
     }
 }
 
-/// Dynamic RRIP: set-duels SRRIP against BRRIP insertion.
+/// Dynamic RRIP: set-duels SRRIP against BRRIP insertion; optionally
+/// translation-aware (T-DRRIP).
 #[derive(Debug, Clone)]
 pub struct Drrip {
     state: RripState,
     duel: SetDuel,
     rng: Rng64,
+    translation_aware: bool,
 }
 
 impl Drrip {
@@ -216,6 +238,18 @@ impl Drrip {
             state: RripState::new(sets, ways),
             duel: SetDuel::new(sets),
             rng: Rng64::new(seed),
+            translation_aware: false,
+        }
+    }
+
+    /// Creates T-DRRIP (Vasudha & Panda, ISPASS 2022): DRRIP whose fills
+    /// take the translation-aware insertion override first — PTE blocks
+    /// (either kind) insert kept, STLB-missing demand blocks insert
+    /// distant — and DRRIP set-dueling insertion otherwise.
+    pub fn translation_aware(sets: usize, ways: usize, seed: u64) -> Self {
+        Self {
+            translation_aware: true,
+            ..Self::new(sets, ways, seed)
         }
     }
 
@@ -230,9 +264,10 @@ impl Drrip {
 }
 
 impl Policy<CacheMeta> for Drrip {
-    fn on_fill(&mut self, set: usize, way: usize, _meta: &CacheMeta) {
+    fn on_fill(&mut self, set: usize, way: usize, meta: &CacheMeta) {
         self.duel.on_fill(set);
-        let v = self.insertion_rrpv(set);
+        let overridden = translation_override(self.translation_aware, meta);
+        let v = overridden.unwrap_or_else(|| self.insertion_rrpv(set));
         self.state.set_rrpv(set, way, v);
     }
 
@@ -245,10 +280,15 @@ impl Policy<CacheMeta> for Drrip {
     }
 
     fn name(&self) -> &'static str {
-        "drrip"
+        if self.translation_aware {
+            "tdrrip"
+        } else {
+            "drrip"
+        }
     }
 
     fn meta_bits(&self, sets: usize, ways: usize) -> u64 {
+        // The T-DRRIP inputs ride the fill metadata: no extra storage.
         sets as u64 * ways as u64 * RRPV_BITS
             + crate::traits::PSEL_BITS
             + crate::traits::RNG_STATE_BITS
@@ -343,5 +383,46 @@ mod tests {
             }
             assert!(p.victim(s, &m(99)) < 4);
         }
+    }
+
+    #[test]
+    fn tdrrip_pte_blocks_insert_protected() {
+        let mut p = Drrip::translation_aware(4, 4, 1);
+        // Follower set 3 avoids leader-set side effects.
+        p.on_fill(3, 0, &CacheMeta::demand(0, FillClass::DataPte));
+        p.on_fill(3, 1, &CacheMeta::demand(1, FillClass::InstrPte));
+        p.on_fill(3, 2, &m(2));
+        p.on_fill(3, 3, &m(3));
+        let v = p.victim(3, &m(9));
+        assert!(v == 2 || v == 3, "PTE ways must not be victims, got {v}");
+    }
+
+    #[test]
+    fn tdrrip_stlb_missing_demand_blocks_are_first_victims() {
+        let mut p = Drrip::translation_aware(4, 2, 1);
+        p.on_fill(
+            3,
+            0,
+            &CacheMeta::demand_stlb_miss(0, FillClass::DataPayload),
+        );
+        p.on_fill(3, 1, &m(1));
+        assert_eq!(p.victim(3, &m(9)), 0);
+    }
+
+    #[test]
+    fn tdrrip_hits_promote_to_zero() {
+        let mut p = Drrip::translation_aware(4, 2, 1);
+        p.on_fill(
+            3,
+            0,
+            &CacheMeta::demand_stlb_miss(0, FillClass::DataPayload),
+        );
+        p.on_hit(3, 0, &m(0));
+        p.on_fill(
+            3,
+            1,
+            &CacheMeta::demand_stlb_miss(1, FillClass::DataPayload),
+        );
+        assert_eq!(p.victim(3, &m(9)), 1);
     }
 }

@@ -1,8 +1,14 @@
 //! SHiP-PC (Wu et al., MICRO 2011): signature-based hit prediction on top
 //! of RRIP. Used by the paper as an LLC replacement baseline (Section 6.3).
+//!
+//! [`Ship::translation_aware`] builds T-SHiP, the translation-aware SHiP
+//! companion of T-DRRIP (Vasudha & Panda, ISPASS 2022). The original
+//! proposal pairs T-DRRIP at the L2C with T-SHiP at the LLC; the paper
+//! under reproduction applies only the L2C half (its experiments found
+//! that configuration stronger), so T-SHiP is an optional extension.
 
 use crate::meta::CacheMeta;
-use crate::rrip::{RripState, RRPV_LONG, RRPV_MAX};
+use crate::rrip::{translation_override, RripState, RRPV_LONG, RRPV_MAX};
 use crate::traits::Policy;
 use itpx_types::SetGrid;
 
@@ -22,6 +28,7 @@ pub struct Ship {
     // Per-block training state.
     signature: SetGrid<u16>,
     outcome: SetGrid<bool>,
+    translation_aware: bool,
 }
 
 impl Ship {
@@ -32,6 +39,18 @@ impl Ship {
             shct: vec![1; 1 << SHCT_BITS],
             signature: SetGrid::new(sets, ways, 0),
             outcome: SetGrid::new(sets, ways, false),
+            translation_aware: false,
+        }
+    }
+
+    /// Creates T-SHiP: SHiP whose fills take the translation-aware
+    /// insertion override first — PTE blocks are predicted live and
+    /// STLB-missing demand blocks dead, regardless of their signature's
+    /// counter. Training is unchanged.
+    pub fn translation_aware(sets: usize, ways: usize) -> Self {
+        Self {
+            translation_aware: true,
+            ..Self::new(sets, ways)
         }
     }
 
@@ -53,8 +72,9 @@ impl Policy<CacheMeta> for Ship {
         let sig = Self::sig(meta.pc);
         self.signature.row_mut(set)[way] = sig;
         self.outcome.row_mut(set)[way] = false;
+        let overridden = translation_override(self.translation_aware, meta);
         let predicted_dead = self.shct[sig as usize] == 0;
-        let v = if predicted_dead { RRPV_MAX } else { RRPV_LONG };
+        let v = overridden.unwrap_or(if predicted_dead { RRPV_MAX } else { RRPV_LONG });
         self.state.set_rrpv(set, way, v);
     }
 
@@ -79,12 +99,17 @@ impl Policy<CacheMeta> for Ship {
     }
 
     fn name(&self) -> &'static str {
-        "ship"
+        if self.translation_aware {
+            "tship"
+        } else {
+            "ship"
+        }
     }
 
     fn meta_bits(&self, sets: usize, ways: usize) -> u64 {
         // Per entry: 2-bit RRPV + SHCT_BITS signature + 1 outcome bit;
-        // global: the 3-bit SHCT table.
+        // global: the 3-bit SHCT table. T-SHiP's overrides reuse the
+        // fill-class wires, costing no extra bits.
         sets as u64 * ways as u64 * (2 + SHCT_BITS as u64 + 1) + 3 * (1u64 << SHCT_BITS)
     }
 }
@@ -140,5 +165,49 @@ mod tests {
         let c = p.counter_for_pc(pc);
         p.on_evict(0, 0);
         assert_eq!(p.counter_for_pc(pc), c);
+    }
+
+    #[test]
+    fn tship_pte_blocks_insert_protected() {
+        let mut p = Ship::translation_aware(1, 4);
+        p.on_fill(0, 0, &CacheMeta::demand(0, FillClass::DataPte));
+        p.on_fill(0, 1, &CacheMeta::demand(1, FillClass::InstrPte));
+        p.on_fill(0, 2, &CacheMeta::demand(2, FillClass::DataPayload));
+        p.on_fill(0, 3, &CacheMeta::demand(3, FillClass::DataPayload));
+        let v = p.victim(0, &CacheMeta::demand(9, FillClass::DataPayload));
+        assert!(v == 2 || v == 3, "PTE ways must not be first victims");
+    }
+
+    #[test]
+    fn tship_stlb_missing_blocks_are_first_victims() {
+        let mut p = Ship::translation_aware(1, 2);
+        p.on_fill(
+            0,
+            0,
+            &CacheMeta::demand_stlb_miss(0, FillClass::DataPayload),
+        );
+        p.on_fill(0, 1, &CacheMeta::demand(1, FillClass::DataPayload));
+        assert_eq!(
+            p.victim(0, &CacheMeta::demand(9, FillClass::DataPayload)),
+            0
+        );
+    }
+
+    #[test]
+    fn tship_training_still_applies_to_plain_payload() {
+        let mut p = Ship::translation_aware(1, 2);
+        let pc = 0x500;
+        for i in 0..4 {
+            p.on_fill(0, 0, &m(i, pc));
+            p.on_evict(0, 0);
+        }
+        assert_eq!(p.counter_for_pc(pc), 0, "dead signature trained down");
+        p.on_fill(0, 0, &m(50, pc));
+        p.on_fill(0, 1, &CacheMeta::demand(51, FillClass::DataPayload));
+        assert_eq!(
+            p.victim(0, &CacheMeta::demand(52, FillClass::DataPayload)),
+            0,
+            "dead-signature block evicted first"
+        );
     }
 }

@@ -100,7 +100,10 @@ proptest! {
             Box::new(Ship::new(SETS, WAYS)),
             Box::new(Mockingjay::new(SETS, WAYS)),
             Box::new(Ptp::new(SETS, WAYS)),
-            Box::new(Tdrrip::new(SETS, WAYS, 4)),
+            Box::new(Drrip::translation_aware(SETS, WAYS, 4)),
+            Box::new(Ship::translation_aware(SETS, WAYS)),
+            Box::new(Xptp::new(SETS, WAYS, XptpParams::default())),
+            Box::new(Xptp::with_emissary(SETS, WAYS, XptpParams::default())),
         ];
         for p in &mut policies {
             drive_cache(p.as_mut(), &ops)?;

@@ -35,8 +35,8 @@ pub struct ContractReport {
 
 /// Drives `inner` for `ops` protocol-correct accesses and returns the
 /// violations `CheckedPolicy` recorded.
-fn drive<M: Copy>(
-    inner: Box<dyn Policy<M>>,
+fn drive<M: Copy, P: Policy<M>>(
+    inner: P,
     sets: usize,
     ways: usize,
     ops: usize,
@@ -172,14 +172,7 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "policy contract violation"))]
     fn seeded_oob_victim_is_reported() {
-        let v = drive(
-            Box::new(OffByOne { ways: 2 }),
-            2,
-            2,
-            1_000,
-            1,
-            super::tlb_meta,
-        );
+        let v = drive(OffByOne { ways: 2 }, 2, 2, 1_000, 1, super::tlb_meta);
         // Release builds collect instead of panicking.
         assert!(v.iter().any(|m| m.contains(">= ways")), "{v:?}");
     }
@@ -188,7 +181,7 @@ mod tests {
     fn drive_is_deterministic() {
         let mk = || {
             drive(
-                Box::new(itpx_policy::Lru::new(4, 2)),
+                itpx_policy::Lru::new(4, 2),
                 4,
                 2,
                 2_000,

@@ -46,7 +46,7 @@ pub use itpx_bench as bench;
 
 /// Convenient glob import for applications.
 pub mod prelude {
-    pub use itpx_core::{AdaptiveXptp, Itp, ItpParams, Preset, Xptp, XptpParams};
+    pub use itpx_core::{Itp, ItpParams, Preset, Xptp, XptpParams};
     pub use itpx_cpu::{Simulation, SimulationOutput, SystemConfig};
     pub use itpx_trace::{SmtPairSpec, WorkloadSpec};
     pub use itpx_types::{AccessKind, FillClass, PageSize, TranslationKind, VirtAddr};
