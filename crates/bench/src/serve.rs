@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Buckets of the per-figure latency histogram. Bucket `i` holds
@@ -79,6 +79,14 @@ impl FigureLatency {
     }
 }
 
+/// Locks `mutex` even if a worker panicked while holding it. Every
+/// guarded value here (latency histograms, the connection queue) stays
+/// consistent across a panic, so a poisoned lock must not take the
+/// other workers down with it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Shared server counters, scraped by `/metrics`.
 #[derive(Debug, Default)]
 struct Metrics {
@@ -89,9 +97,7 @@ struct Metrics {
 
 impl Metrics {
     fn record_figure(&self, name: &'static str, ms: u64) {
-        self.figure_latency
-            .lock()
-            .expect("metrics lock")
+        lock(&self.figure_latency)
             .entry(name)
             .or_insert_with(|| FigureLatency {
                 hist: Histogram::new(LATENCY_BUCKETS),
@@ -137,7 +143,7 @@ impl Metrics {
             "# HELP itpx_figure_latency_ms Figure build latency, milliseconds.\n\
              # TYPE itpx_figure_latency_ms histogram\n",
         );
-        let hists = self.figure_latency.lock().expect("metrics lock");
+        let hists = lock(&self.figure_latency);
         for (figure, latency) in hists.iter() {
             latency.render(figure, &mut out);
         }
@@ -199,7 +205,7 @@ pub fn start(addr: &str, campaign: Arc<Campaign>, workers: usize) -> std::io::Re
         let campaign = Arc::clone(&campaign);
         let metrics = Arc::clone(&metrics);
         std::thread::spawn(move || loop {
-            let conn = rx.lock().expect("worker queue lock").recv();
+            let conn = lock(&rx).recv();
             let Ok(stream) = conn else { break };
             metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
             handle_connection(stream, &campaign, &metrics);
@@ -486,13 +492,39 @@ mod tests {
     }
 
     #[test]
+    fn a_poisoned_metrics_lock_still_serves_metrics() {
+        let metrics = Arc::new(Metrics::default());
+        metrics.record_figure("fig02", 5);
+        let holder = Arc::clone(&metrics);
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.figure_latency.lock();
+            panic!("worker dies holding the metrics lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(metrics.figure_latency.is_poisoned());
+        let scale = crate::RunScale {
+            workloads: 1,
+            smt_pairs: 1,
+            instructions: 1_000,
+            warmup: 100,
+            host_threads: 1,
+        };
+        let campaign = Campaign::new(scale, crate::SimCache::new(None));
+        metrics.record_figure("fig02", 7);
+        let (status, body) = route("/metrics", "", &campaign, &metrics);
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("itpx_figure_latency_ms_count{figure=\"fig02\"} 2\n"));
+    }
+
+    #[test]
     fn histogram_buckets_are_cumulative_in_render() {
         let metrics = Metrics::default();
         for ms in [0, 3, 100_000] {
             metrics.record_figure("fig02", ms);
         }
         let mut out = String::new();
-        metrics.figure_latency.lock().expect("metrics lock")["fig02"].render("fig02", &mut out);
+        lock(&metrics.figure_latency)["fig02"].render("fig02", &mut out);
         let bucket = |le: &str| {
             let prefix = format!("itpx_figure_latency_ms_bucket{{figure=\"fig02\",le=\"{le}\"}} ");
             let count = out.lines().find_map(|l| l.strip_prefix(&prefix));

@@ -185,17 +185,29 @@ pub(crate) fn entry_bytes(key: u64, out: &SimulationOutput) -> Vec<u8> {
 /// garbage — is `None`; callers match the key against what they looked
 /// up.
 pub(crate) fn decode_entry_bytes(bytes: &[u8]) -> Option<(u64, SimulationOutput)> {
+    let key = entry_key(bytes)?;
+    let mut r = Reader {
+        bytes: bytes.get(ENTRY_HEADER..)?,
+    };
+    let out = decode_output(&mut r)?;
+    // Trailing garbage marks a corrupted entry.
+    r.bytes.is_empty().then_some((key, out))
+}
+
+/// Bytes before an entry's payload: magic, version, key, checksum.
+const ENTRY_HEADER: usize = MAGIC.len() + 4 + 8 + 8;
+
+/// The key an entry claims to hold, if its magic, version and payload
+/// checksum validate, without decoding the payload: the segment store
+/// checks every record it reads or scans this way, so a warm disk hit
+/// decodes once, in [`decode_entry_bytes`].
+pub(crate) fn entry_key(bytes: &[u8]) -> Option<u64> {
     let mut r = Reader { bytes };
     if r.take(MAGIC.len())? != MAGIC.as_slice() || r.u32()? != VERSION {
         return None;
     }
     let key = r.u64()?;
-    if r.u64()? != payload_checksum(r.bytes) {
-        return None;
-    }
-    let out = decode_output(&mut r)?;
-    // Trailing garbage marks a corrupted entry.
-    r.bytes.is_empty().then_some((key, out))
+    (r.u64()? == payload_checksum(r.bytes)).then_some(key)
 }
 
 /// FNV-1a over the serialized payload. Structural decoding alone accepts a

@@ -28,6 +28,7 @@
 //!   failed open, drops the entry, and reports a miss — never an error
 //!   and never a wrong result.
 
+use crate::simcache::entry_key;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -102,6 +103,23 @@ struct State {
     index: BTreeMap<u64, EntryLoc>,
     scanned: ScanMap,
     writer: Option<Writer>,
+    /// Running total of segment bytes on disk: the last prune listing
+    /// plus this process's appends since. `None` until the first
+    /// listing, and again once a refresh finds a segment it did not
+    /// list.
+    disk_bytes: Option<u64>,
+    /// Whether a segment other than the active one may exist: one was
+    /// listed, or this process rolled past its own since.
+    inactive: bool,
+}
+
+/// Whether an append to a store capped at `cap` must list the segments
+/// to prune: always while the byte total is unknown, otherwise only
+/// when it exceeds the cap and an inactive segment exists to unlink.
+/// The active segment is never pruned, so a store holding only it
+/// cannot get under the cap by listing again.
+fn prune_due(cap: u64, disk_bytes: Option<u64>, inactive: bool) -> bool {
+    disk_bytes.is_none_or(|total| total > cap && inactive)
 }
 
 /// A multi-process-safe segmented entry store. See the module docs for
@@ -164,10 +182,15 @@ impl SegmentStore {
     pub fn insert(&self, key: u64, entry: &[u8]) {
         let mut state = self.state.lock().expect("segment store poisoned");
         if self.append(&mut state, key, entry).is_none() {
+            // The next append opens a new segment; list again to learn
+            // what the failed one left on disk.
             state.writer = None;
+            state.disk_bytes = None;
         }
-        if self.config.max_bytes.is_some() {
-            self.prune(&mut state);
+        if let Some(cap) = self.config.max_bytes {
+            if prune_due(cap, state.disk_bytes, state.inactive) {
+                self.prune(&mut state, cap);
+            }
         }
     }
 
@@ -181,6 +204,7 @@ impl SegmentStore {
         writer.file.write_all(&record).ok()?;
         writer.file.flush().ok()?;
         writer.written += record.len() as u64;
+        state.disk_bytes = state.disk_bytes.map(|b| b + record.len() as u64);
         let loc = EntryLoc {
             segment: writer.path.clone(),
             offset,
@@ -217,6 +241,9 @@ impl SegmentStore {
                     file.write_all(&header).ok()?;
                     file.flush().ok()?;
                     state.scanned.insert(path.clone(), SEG_HEADER);
+                    state.disk_bytes = state.disk_bytes.map(|b| b + SEG_HEADER);
+                    // The segment rolled past, if any, is now inactive.
+                    state.inactive |= state.writer.is_some();
                     state.writer = Some(Writer {
                         path,
                         file,
@@ -249,7 +276,14 @@ impl SegmentStore {
             .collect();
         paths.sort();
         for path in paths {
-            let start = *state.scanned.get(&path).unwrap_or(&0);
+            let start = match state.scanned.get(&path) {
+                Some(&start) => start,
+                None => {
+                    // A segment the running byte total does not hold.
+                    state.disk_bytes = None;
+                    0
+                }
+            };
             let Some((found, end)) = scan_segment(&path, start) else {
                 continue;
             };
@@ -277,32 +311,31 @@ impl SegmentStore {
 
     /// Unlinks inactive segments oldest-first (by modification time; the
     /// active writer segment is never pruned) until the store fits
-    /// `max_bytes`. Unlinking is safe under
-    /// concurrency — a reader mid-record keeps its open fd; a reader
-    /// arriving later gets a failed open and reports a miss. All IO
-    /// errors are swallowed: pruning must never break a lookup.
-    fn prune(&self, state: &mut State) {
-        let Some(cap) = self.config.max_bytes else {
-            return;
-        };
-        let mut total = self.disk_bytes();
-        if total <= cap {
-            return;
-        }
+    /// `cap`, and resets the running byte total from the listing.
+    /// Unlinking is safe under concurrency — a reader mid-record keeps
+    /// its open fd; a reader arriving later gets a failed open and
+    /// reports a miss. All IO errors are swallowed: pruning must never
+    /// break a lookup. Segments other processes create after the listing
+    /// count toward the cap once a refresh finds them.
+    fn prune(&self, state: &mut State, cap: u64) {
+        let segments = segments_oldest_first(&self.segments_dir());
+        let mut total: u64 = segments.iter().map(|(_, len, _)| len).sum();
         let active = state.writer.as_ref().map(|w| w.path.clone());
-        for (path, len, _) in segments_oldest_first(&self.segments_dir()) {
-            if total <= cap {
-                break;
-            }
+        let mut inactive = false;
+        for (path, len, _) in segments {
             if Some(&path) == active.as_ref() {
                 continue;
             }
-            if std::fs::remove_file(&path).is_ok() {
+            if total > cap && std::fs::remove_file(&path).is_ok() {
                 total = total.saturating_sub(len);
                 state.scanned.remove(&path);
                 state.index.retain(|_, loc| loc.segment != path);
+            } else {
+                inactive = true;
             }
         }
+        state.disk_bytes = Some(total);
+        state.inactive = inactive;
     }
 }
 
@@ -330,12 +363,6 @@ fn segments_oldest_first(dir: &Path) -> Vec<Victim> {
         .collect();
     out.sort_by(|a, b| (a.2, &a.0).cmp(&(b.2, &b.0)));
     out
-}
-
-/// The key a fully valid entry holds (see
-/// [`crate::simcache::decode_entry_bytes`]), `None` for anything else.
-fn entry_key(bytes: &[u8]) -> Option<u64> {
-    crate::simcache::decode_entry_bytes(bytes).map(|(key, _)| key)
 }
 
 /// Reads one length-prefixed record body at a known location.
@@ -394,4 +421,81 @@ fn scan_segment(path: &Path, start: u64) -> Option<(Vec<(u64, u64, u32)>, u64)> 
         at += 4 + len as u64;
     }
     Some((found, at))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::simcache::entry_bytes;
+    use itpx_core::Preset;
+    use itpx_cpu::{Simulation, SystemConfig};
+    use itpx_trace::WorkloadSpec;
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("itpx-store-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn sample_entry(key: u64) -> Vec<u8> {
+        let w = WorkloadSpec::spec_like(2).instructions(2_000).warmup(500);
+        let out = Simulation::single_thread(&SystemConfig::asplos25(), Preset::Lru, &w).run();
+        entry_bytes(key, &out)
+    }
+
+    #[test]
+    fn prune_lists_only_when_it_can_unlink_something() {
+        // Unknown total: list.
+        assert!(prune_due(100, None, false));
+        assert!(prune_due(100, None, true));
+        // Under (or at) the cap: nothing to do.
+        assert!(!prune_due(100, Some(100), true));
+        // Over the cap with only the active segment: listing cannot help.
+        assert!(!prune_due(100, Some(101), false));
+        // Over the cap with an inactive segment to unlink.
+        assert!(prune_due(100, Some(101), true));
+    }
+
+    #[test]
+    fn a_store_capped_at_one_byte_serves_every_insert() {
+        let dir = temp_dir("cap1");
+        let store = SegmentStore::new(dir.clone(), StoreConfig::capped(1));
+        let entry = sample_entry(0);
+        for key in 0..24u64 {
+            let bytes = entry_bytes_for(&entry, key);
+            store.insert(key, &bytes);
+            assert_eq!(store.get(key), Some(bytes), "insert {key} not served");
+            // Every rolled segment is pruned: only the active one stays.
+            let state = store.state.lock().expect("store lock");
+            assert!(!state.inactive, "insert {key} left an inactive segment");
+            assert_eq!(state.disk_bytes, Some(store.disk_bytes()));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `entry` re-keyed to `key`; the checksum covers only the payload.
+    fn entry_bytes_for(entry: &[u8], key: u64) -> Vec<u8> {
+        let mut bytes = entry.to_vec();
+        bytes[12..20].copy_from_slice(&key.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_flipped_payload_byte_is_rejected_by_the_store() {
+        let entry = sample_entry(5);
+        assert_eq!(entry_key(&entry), Some(5));
+        for offset in [28, entry.len() / 2, entry.len() - 1] {
+            let mut bad = entry.clone();
+            bad[offset] ^= 0x01;
+            assert_eq!(entry_key(&bad), None, "flip at {offset} passed");
+            let dir = temp_dir(&format!("flip{offset}"));
+            let store = SegmentStore::new(dir.clone(), StoreConfig::default());
+            store.insert(5, &bad);
+            assert_eq!(store.get(5), None, "flip at {offset} served");
+            // A fresh instance scans the segment from disk.
+            let fresh = SegmentStore::new(dir.clone(), StoreConfig::default());
+            assert_eq!(fresh.get(5), None, "flip at {offset} indexed");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }

@@ -31,8 +31,8 @@ use crate::functional::FunctionalMachine;
 use crate::output::{LevelReport, SimulationOutput, ThreadOutput, WalkerSummary};
 use crate::system::System;
 use itpx_trace::{
-    ContextSchedule, HelperStream, InstructionStream, SwitchPolicy, TierSchedule, TraceGenerator,
-    TraceInst, WorkloadSource, WorkloadSpec,
+    ContextSchedule, InstructionStream, Supply, SupplyStream, SwitchPolicy, TierSchedule,
+    TraceGenerator, TraceInst, WorkloadSource, WorkloadSpec,
 };
 use itpx_types::{
     Asid, Cycle, LevelId, PageSize, ResetBoundary, ThreadId, TranslationKind, VirtAddr,
@@ -62,7 +62,7 @@ const FF_WARM_CAP: u64 = 250_000;
 /// ns over six runs; `cpu.functional.ns_per_inst`, tiered-tenants) and
 /// the cycle tier ~340 ns (1 / `host.sim_ips_raw`, server-flat), about
 /// 5.7× apart; neither figure includes instruction synthesis, which
-/// runs on a helper thread.
+/// runs on the supply thread when it is ahead.
 /// [`Tier::segments`] lowers a [`TierSchedule`] into this form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
@@ -114,7 +114,7 @@ impl Tier {
 struct ContextState {
     schedule: ContextSchedule,
     /// Unmounted tenant streams (`None` = currently mounted on the pipe).
-    streams: Vec<Option<Box<dyn InstructionStream>>>,
+    streams: Vec<Option<SupplyStream>>,
     /// Tenant currently executing.
     current: usize,
     /// Executed program instructions, both tiers.
@@ -140,19 +140,23 @@ impl ContextState {
         self.clock >= self.next_switch
     }
 
-    /// Advances to the next tenant round-robin: remounts the pipe's
-    /// instruction stream and flushes its front-end lookahead (the FTQ
-    /// holds the outgoing tenant's speculative path — a context switch
-    /// discards it). Returns the incoming tenant's ASID; the caller
-    /// applies the tier-appropriate TLB/PSC effects, flushing the incoming
-    /// tenant's cached translations when the returned flag is set.
+    /// Advances to the next tenant round-robin: parks the pipe's
+    /// instruction stream, puts the incoming tenant's in its place, and
+    /// flushes the front-end lookahead (the FTQ holds the outgoing
+    /// tenant's speculative path — a context switch discards it). The
+    /// incoming stream stays parked until the caller mounts it. Returns
+    /// the incoming tenant's ASID; the caller applies the
+    /// tier-appropriate TLB/PSC effects, flushing the incoming tenant's
+    /// cached translations when the returned flag is set.
     fn rotate(&mut self, pipe: &mut ThreadPipe) -> (Asid, bool) {
         self.next_switch += self.schedule.quantum;
         let next = (self.current + 1) % self.streams.len();
         // next < streams.len() by the modulo, and every slot except the
         // executing tenant's holds Some by the mount/unmount discipline.
         let incoming = self.streams[next].take().expect("unmounted tenant stream");
-        self.streams[self.current] = Some(std::mem::replace(&mut pipe.stream, incoming));
+        let mut outgoing = std::mem::replace(&mut pipe.stream, incoming);
+        outgoing.mount(0);
+        self.streams[self.current] = Some(outgoing);
         self.current = next;
         pipe.lookahead.clear();
         pipe.cur_block = u64::MAX;
@@ -166,6 +170,11 @@ impl ContextState {
     fn asid(&self) -> Asid {
         // itpx-allow: arith-width current indexes streams, whose length is the u16 tenant count
         Asid(self.current as u16)
+    }
+
+    /// Program instructions left before the next switch.
+    fn to_switch(&self) -> u64 {
+        self.next_switch.saturating_sub(self.clock)
     }
 
     /// Whether the shootdown cadence fires at the current clock (consumes
@@ -224,9 +233,9 @@ struct ThreadPipe {
     /// Tenant streams start as clones and fast-forward segments
     /// phase-fork them, so each tenant's layout is built once per run.
     origins: Vec<TraceGenerator>,
-    /// The instruction supply: a synthetic stream is generated ahead on
-    /// a helper thread ([`HelperStream`]); a replay runs inline.
-    stream: Box<dyn InstructionStream>,
+    /// The instruction supply, generated ahead on the run's supply
+    /// thread while mounted.
+    stream: SupplyStream,
     lookahead: VecDeque<TraceInst>,
     bp: HashedPerceptron,
     va_offset: u64,
@@ -243,6 +252,8 @@ struct ThreadPipe {
     retire_cycle: Cycle,
     retired_this_cycle: usize,
     produced: u64,
+    /// Where the current `run_until` stops stepping this thread.
+    until: u64,
     /// New-block fetches left to run without FDIP after a misprediction
     /// (the prefetcher was off on the wrong path).
     fdip_suppress: u8,
@@ -255,7 +266,13 @@ struct ThreadPipe {
 }
 
 impl ThreadPipe {
-    fn new(source: WorkloadSource, id: ThreadId, rob_size: usize, ftq_entries: usize) -> Self {
+    fn new(
+        source: WorkloadSource,
+        supply: &Supply,
+        id: ThreadId,
+        rob_size: usize,
+        ftq_entries: usize,
+    ) -> Self {
         let name = source.name().to_string();
         let warmup = source.warmup();
         let (spec, origins) = match &source {
@@ -284,16 +301,17 @@ impl ThreadPipe {
         // its draws; a switch discards the lookahead, so tenants have no
         // bound.
         let limit = match &spec {
-            Some(s) if s.contexts.is_flat() => target.saturating_add(ftq_entries as u64),
-            _ => u64::MAX,
+            Some(s) if !s.contexts.is_flat() => u64::MAX,
+            _ => target.saturating_add(ftq_entries as u64),
+        };
+        let stream = match origins.first() {
+            Some(g) => Box::new(g.clone()),
+            None => source.into_stream(),
         };
         Self {
             id,
             name,
-            stream: match origins.first() {
-                Some(g) => Box::new(HelperStream::spawn(g.clone(), limit)),
-                None => source.into_stream(),
-            },
+            stream: supply.register(stream, limit),
             spec,
             origins,
             lookahead: VecDeque::new(),
@@ -311,6 +329,7 @@ impl ThreadPipe {
             retire_cycle: 0,
             retired_this_cycle: 0,
             produced: 0,
+            until: 0,
             warmup,
             target,
             meas_start_cycle: 0,
@@ -323,6 +342,19 @@ impl ThreadPipe {
         self.spec
             .as_ref()
             .map_or_else(TierSchedule::flat, |s| s.tiers)
+    }
+
+    /// Mounts the pipe's stream for the steps it can take before it is
+    /// next parked: up to `until`, or to the next context switch,
+    /// `to_switch` steps away. Each step tops the lookahead up to `ftq`
+    /// and pops one, so `k > 0` steps draw `ftq - lookahead + k - 1`.
+    fn mount(&mut self, to_switch: u64, ftq: usize) {
+        let steps = self.until.saturating_sub(self.produced).min(to_switch);
+        let draws = match steps {
+            0 => 0,
+            k => ftq.saturating_sub(self.lookahead.len()) as u64 + k - 1,
+        };
+        self.stream.mount(draws);
     }
 }
 
@@ -344,6 +376,9 @@ pub struct Engine {
     threads: Vec<ThreadPipe>,
     /// Multi-tenant schedule state (`None` = classic single-tenant run).
     ctx: Option<ContextState>,
+    /// The run's one instruction-supply thread: every stream the engine
+    /// draws is registered with it.
+    supply: Supply,
 }
 
 impl Engine {
@@ -383,10 +418,11 @@ impl Engine {
         );
         let rob_per_thread = system.config.rob_entries / sources.len();
         let ftq = system.config.ftq_entries;
+        let supply = Supply::new();
         let threads: Vec<ThreadPipe> = sources
             .into_iter()
             .enumerate()
-            .map(|(i, s)| ThreadPipe::new(s, ThreadId(i as u8), rob_per_thread, ftq))
+            .map(|(i, s)| ThreadPipe::new(s, &supply, ThreadId(i as u8), rob_per_thread, ftq))
             .collect();
         let mut system = system;
         let contexts = threads[0]
@@ -406,12 +442,7 @@ impl Engine {
                 .origins
                 .iter()
                 .enumerate()
-                .map(|(t, g)| {
-                    (t > 0).then(|| {
-                        Box::new(HelperStream::spawn(g.clone(), u64::MAX))
-                            as Box<dyn InstructionStream>
-                    })
-                })
+                .map(|(t, g)| (t > 0).then(|| supply.register(Box::new(g.clone()), u64::MAX)))
                 .collect();
             Some(ContextState {
                 schedule: contexts,
@@ -427,6 +458,7 @@ impl Engine {
             system,
             threads,
             ctx,
+            supply,
         }
     }
 
@@ -434,13 +466,14 @@ impl Engine {
     fn step(&mut self, ti: usize, smt_active: bool) {
         // A due context switch lands before the instruction: rotate the
         // tenant streams and apply the switch to the cycle structures.
+        let cfg = self.system.config;
         if let Some(ctx) = self.ctx.as_mut() {
             if ctx.switch_due() {
                 let (asid, flush) = ctx.rotate(&mut self.threads[ti]);
                 self.system.context_switch(asid, flush);
+                self.threads[ti].mount(ctx.to_switch(), cfg.ftq_entries);
             }
         }
-        let cfg = self.system.config;
         let sys = &mut self.system;
         let t = &mut self.threads[ti];
         let mut ctx = self.ctx.as_mut();
@@ -626,14 +659,12 @@ impl Engine {
         // One phase-forked warm stream per tenant (a single one when the
         // run is single-tenant): the schedule keeps firing through the
         // fast-forward so both tiers see switches at the same program
-        // points. Forks share their tenant's layout, run on helper
-        // threads, and are joined when the segment ends; none is drawn
-        // more than the warm tail.
-        let mut gens: Vec<HelperStream> = self.threads[ti]
-            .origins
-            .iter()
-            .map(|g| HelperStream::spawn(g.phase_fork(salt), warm))
-            .collect();
+        // points. Forks share their tenant's layout, are registered with
+        // the supply when their tenant first runs, and are mounted only
+        // while it runs; none is drawn more than the warm tail.
+        let mut forks: Vec<Option<SupplyStream>> =
+            self.threads[ti].origins.iter().map(|_| None).collect();
+        let mut mounted = None;
         // The free skip advances the schedule clock too: switch
         // boundaries crossed inside it still rotate tenants (and flush,
         // per policy); cadence events are executed-instruction driven, so
@@ -647,7 +678,7 @@ impl Engine {
             }
         }
         let mut cur_block = u64::MAX;
-        for _ in 0..warm {
+        for done in 0..warm {
             if let Some(ctx) = self.ctx.as_mut() {
                 if ctx.switch_due() {
                     let (asid, flush) = ctx.rotate(&mut self.threads[ti]);
@@ -657,7 +688,25 @@ impl Engine {
                 }
             }
             let tenant = self.ctx.as_ref().map_or(0, |c| c.current);
-            let inst = gens[tenant].next_inst();
+            if mounted != Some(tenant) {
+                if let Some(fork) = mounted.and_then(|t| forks[t].as_mut()) {
+                    fork.mount(0);
+                }
+                // A fork draws one instruction per step until the tail
+                // ends or its tenant is switched out.
+                let left = warm - done;
+                let draws = self.ctx.as_ref().map_or(left, |c| left.min(c.to_switch()));
+                let origin = &self.threads[ti].origins[tenant];
+                forks[tenant]
+                    .get_or_insert_with(|| {
+                        self.supply
+                            .register(Box::new(origin.phase_fork(salt)), warm)
+                    })
+                    .mount(draws);
+                mounted = Some(tenant);
+            }
+            // The block above registered and mounted this tenant's fork.
+            let inst = forks[tenant].as_mut().expect("mounted fork").next_inst();
             let pc = inst.pc + va_offset;
             let block = pc >> 6;
             if block != cur_block {
@@ -704,18 +753,28 @@ impl Engine {
     }
 
     /// Steps the unfinished thread earliest in simulated time until every
-    /// thread has produced `until(thread)` instructions.
+    /// thread has produced `until(thread)` instructions. Each thread's
+    /// stream is mounted for the stretch and parked after it.
     fn run_until(&mut self, until: impl Fn(&ThreadPipe) -> u64) {
         let smt = self.threads.len() == 2;
+        let to_switch = self.ctx.as_ref().map_or(u64::MAX, ContextState::to_switch);
+        let ftq = self.system.config.ftq_entries;
+        for t in &mut self.threads {
+            t.until = until(t);
+            t.mount(to_switch, ftq);
+        }
         while let Some(i) = self
             .threads
             .iter()
             .enumerate()
-            .filter(|(_, t)| t.produced < until(t))
+            .filter(|(_, t)| t.produced < t.until)
             .min_by_key(|(_, t)| t.frontend_time)
             .map(|(i, _)| i)
         {
             self.step(i, smt);
+        }
+        for t in &mut self.threads {
+            t.stream.mount(0);
         }
     }
 
@@ -728,28 +787,10 @@ impl Engine {
     /// Fast-forwards consume no simulated time and no statistics, so the
     /// measured counters aggregate exactly the stepped instructions.
     ///
-    /// Consumes the engine, so every stream helper thread is joined
-    /// before this returns.
+    /// Consumes the engine, so the supply thread is joined before this
+    /// returns.
     pub fn run(mut self, preset: &str, llc_policy: &str) -> SimulationOutput {
-        self.run_until(|t| t.warmup);
-        self.measurement_boundary();
-        // `from_sources` admits non-flat schedules on one thread only.
-        let schedule = self.threads[0].tiers();
-        let mut salt = 0u64;
-        for tier in Tier::segments(&schedule) {
-            match tier {
-                Tier::FastForward { instructions } => {
-                    self.fast_forward(0, salt, instructions);
-                    salt += 1;
-                }
-                Tier::Window { instructions } => {
-                    let until = self.threads[0].produced + instructions;
-                    self.run_until(|_| until);
-                }
-            }
-        }
-        self.run_until(|t| t.target);
-
+        let schedule = self.execute();
         let threads = self
             .threads
             .iter()
@@ -795,6 +836,87 @@ impl Engine {
             dram_reads: sys.hierarchy.dram().reads(),
             dram_writes: sys.hierarchy.dram().writes(),
             xptp_enabled_fraction: sys.xptp_enabled_fraction(),
+        }
+    }
+
+    /// Runs warmup, the tier segments and the rest of the run; returns
+    /// the tier schedule it followed.
+    fn execute(&mut self) -> TierSchedule {
+        self.run_until(|t| t.warmup);
+        self.measurement_boundary();
+        // `from_sources` admits non-flat schedules on one thread only.
+        let schedule = self.threads[0].tiers();
+        let mut salt = 0u64;
+        for tier in Tier::segments(&schedule) {
+            match tier {
+                Tier::FastForward { instructions } => {
+                    self.fast_forward(0, salt, instructions);
+                    salt += 1;
+                }
+                Tier::Window { instructions } => {
+                    let until = self.threads[0].produced + instructions;
+                    self.run_until(|_| until);
+                }
+            }
+        }
+        self.run_until(|t| t.target);
+        schedule
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SystemConfig;
+    use itpx_core::presets::BuildConfig;
+    use itpx_core::Preset;
+
+    fn engine(specs: &[WorkloadSpec]) -> Engine {
+        let cfg = SystemConfig::asplos25();
+        let bundle = Preset::ItpXptp.build(&cfg.dims(), &BuildConfig::default());
+        Engine::new(System::new(cfg, bundle, specs.len()), specs)
+    }
+
+    /// Every mount announces exactly the draws that follow it, so the
+    /// supply never fills a stream past the point where it is parked:
+    /// at a switch, a window end, the end of a warm tail or the run's end.
+    #[test]
+    fn parked_streams_hold_nothing_generated_ahead() {
+        let tenants = |quantum| {
+            ContextSchedule::round_robin(4, quantum, SwitchPolicy::FlushAsid).shootdowns(700)
+        };
+        let base = WorkloadSpec::server_like(5).warmup(3_000);
+        let tiered = base.clone().tiers(TierSchedule::tiered(2_000, 20_000, 3));
+        let runs = [
+            ("flat", vec![base.clone().instructions(9_000)]),
+            (
+                "SMT",
+                vec![
+                    WorkloadSpec::server_like(1)
+                        .warmup(2_000)
+                        .instructions(6_000),
+                    WorkloadSpec::spec_like(2).warmup(2_000).instructions(6_000),
+                ],
+            ),
+            (
+                "flat tenants",
+                vec![base.clone().contexts(tenants(1_500)).instructions(9_000)],
+            ),
+            ("tiered", vec![tiered.clone()]),
+            // Switches inside windows and warm tails, and (past the warm
+            // cap) inside the free skip.
+            ("tiered tenants", vec![tiered.contexts(tenants(1_500))]),
+            (
+                "tiered tenants with a skip",
+                vec![base
+                    .tiers(TierSchedule::tiered(1_000, FF_WARM_CAP + 7_000, 2))
+                    .contexts(tenants(60_000))],
+            ),
+        ];
+        for (what, specs) in runs {
+            let mut e = engine(&specs);
+            e.execute();
+            assert_eq!(e.supply.parked_peak(), 0, "{what}");
         }
     }
 }

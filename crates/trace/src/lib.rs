@@ -42,5 +42,5 @@ pub use profile::{
     ContextSchedule, Profile, SmtCategory, SmtPairSpec, SwitchPolicy, TierSchedule, WorkloadSpec,
 };
 pub use record::{read_trace, write_trace, Branch, MemRef, TraceInst};
-pub use stream::{HelperStream, InstructionStream, TraceLoop, WorkloadSource};
+pub use stream::{InstructionStream, Supply, SupplyStream, TraceLoop, WorkloadSource};
 pub use suites::{qualcomm_like_suite, smt_suite, spec_like_suite};

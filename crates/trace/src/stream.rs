@@ -4,7 +4,10 @@
 use crate::gen::TraceGenerator;
 use crate::profile::WorkloadSpec;
 use crate::record::TraceInst;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// An endless source of dynamic instructions for one hardware thread.
@@ -72,135 +75,472 @@ impl InstructionStream for TraceLoop {
     }
 }
 
-/// Instructions per chunk a [`HelperStream`] hands over at once.
-pub const HELPER_CHUNK: usize = 512;
+/// Instructions per chunk a [`Supply`] hands over at once.
+pub const SUPPLY_CHUNK: usize = 512;
 
-/// Drained chunks a [`HelperStream`] returns to its helper at once. The
-/// helper sleeps between batches, so it is woken once per
-/// `HELPER_BATCH × chunk` instructions. Two batches circulate besides
-/// the chunk being consumed: at most `(2 × HELPER_BATCH + 1) × chunk`
-/// instructions exist per stream.
-pub const HELPER_BATCH: usize = 4;
+/// Filled chunks a [`Supply`] keeps ahead of a mounted stream, and the
+/// buffers its shared pool holds. The consumer wakes the sleeping supply
+/// thread once half the pool is free again (or its stream has run dry),
+/// so the thread wakes about once per `SUPPLY_LEAD / 2` chunks drawn.
+pub const SUPPLY_LEAD: usize = 8;
 
-/// Empty chunk buffers travelling back to the helper together.
-type Batch = [Vec<TraceInst>; HELPER_BATCH];
+/// Supply threads started in this process, and those still running.
+static STARTED: AtomicU64 = AtomicU64::new(0);
+static RUNNING: AtomicU64 = AtomicU64::new(0);
 
-/// An [`InstructionStream`] produced on a helper thread.
+/// One instruction-supply thread, shared by every stream of a run.
 ///
-/// The helper owns the source and fills fixed-size chunks of
-/// [`TraceInst`] ahead of the consumer, sending each through a channel
-/// as soon as it is full. The consumer collects drained chunks and hands
-/// them back a batch at a time, so the helper wakes once per batch, not
-/// once per chunk: on a loaded host every wake-up preempts a simulation
-/// thread. Steady state allocates nothing, and every buffer is allocated
-/// on the consumer's thread. The source runs exactly as it would inline,
-/// on another core, so the consumer sees the same sequence.
+/// Each source is registered with a hard draw limit and comes back as a
+/// [`SupplyStream`]. The thread fills chunks of [`TraceInst`] only for
+/// *mounted* streams, and only up to the draws the consumer announced
+/// with [`SupplyStream::mount`]; a parked stream gets nothing. Chunk
+/// buffers come from one shared pool, allocated by whoever creates the
+/// supply, so a run holds about [`SUPPLY_LEAD`] chunks plus the
+/// partial chunk each stream is drawing from.
 ///
-/// Dropping the stream disconnects both channels and joins the helper.
-/// A panic in the source surfaces as a panic of the consumer's next
-/// refill, carrying the source's panic message.
-pub struct HelperStream {
-    chunk: Vec<TraceInst>,
-    pos: usize,
-    /// Drained chunks not yet handed back; the first `spares` are set.
-    spare: Batch,
-    spares: usize,
-    filled: Receiver<Vec<TraceInst>>,
-    drained: SyncSender<Batch>,
-    // Declared after both channel ends: fields drop in order, so the
-    // helper sees the disconnect before `Helper::drop` joins it.
-    helper: Helper,
+/// A refill that finds no filled chunk while the source is idle
+/// generates the chunk on the consumer's own thread ("caller-runs")
+/// instead of waiting for the supply thread to wake: a descheduled
+/// supply thread never stalls the consumer, and on one CPU generation
+/// simply runs inline. The consumer waits only for a chunk the supply
+/// thread is generating at that moment.
+///
+/// Output equals the sources' own: only the thread holding a source
+/// draws from it, each chunk is queued behind the ones drawn before it,
+/// and a consumer takes chunks in queue order.
+///
+/// Dropping the supply joins its thread once the chunk in flight, if
+/// any, is done. Streams outlive it safely: they generate every chunk
+/// themselves from then on.
+pub struct Supply {
+    shared: Arc<Shared>,
+    thread: Option<JoinHandle<()>>,
 }
 
-impl HelperStream {
-    /// Moves `source` onto a helper thread with the default chunk length.
-    /// The consumer may draw at most `limit` instructions (`u64::MAX`
-    /// for no bound); the helper produces no more than that, so it never
-    /// runs past the end of a run.
-    pub fn spawn(source: impl InstructionStream + 'static, limit: u64) -> Self {
-        Self::with_chunk(source, limit, HELPER_CHUNK)
+/// State shared by a supply's thread and its streams.
+struct Shared {
+    state: Mutex<State>,
+    /// Wakes the supply thread: a mount, a drained chunk, shutdown.
+    work: Condvar,
+    /// Wakes a consumer waiting for a chunk the supply thread generates.
+    ready: Condvar,
+    chunk: usize,
+}
+
+struct State {
+    /// Registered streams by id; `None` marks a free id.
+    slots: Vec<Option<Slot>>,
+    /// Empty chunk buffers.
+    pool: Vec<Vec<TraceInst>>,
+    /// The supply thread is waiting for work.
+    idle: bool,
+    /// Threads waiting on [`Shared::ready`].
+    waiting: usize,
+    shutdown: bool,
+    /// The most instructions any stream held when it was parked.
+    parked_peak: u64,
+}
+
+/// One registered stream, as the supply sees it.
+struct Slot {
+    /// `None` while a thread generates from it, or after it panicked.
+    source: Option<Box<dyn InstructionStream>>,
+    /// Filled chunks in draw order.
+    filled: VecDeque<Vec<TraceInst>>,
+    /// Instructions drawn from the source, in flight ones included.
+    produced: u64,
+    /// The supply thread fills up to here: the mount bound.
+    until: u64,
+    /// Drawing past this many instructions panics.
+    limit: u64,
+    /// The source's panic message.
+    failed: Option<String>,
+}
+
+impl Slot {
+    /// Whether the supply thread has a chunk to fill for this stream.
+    fn wants(&self) -> bool {
+        self.source.is_some() && self.produced < self.until && self.filled.len() < SUPPLY_LEAD
     }
 
-    /// Moves `source` onto a helper thread that hands over `chunk`
-    /// instructions at a time, [`HelperStream::spawn`] otherwise.
+    /// Instructions left to generate before `produced` reaches `end`.
+    fn left(&self, end: u64) -> usize {
+        usize::try_from(end.saturating_sub(self.produced)).unwrap_or(usize::MAX)
+    }
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // Nothing panics while holding the lock; a poisoned one is whole.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, cv: &Condvar, state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        cv.wait(state).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits for the supply thread to finish the chunk it is generating.
+    fn wait_ready<'a>(&self, mut state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        state.waiting += 1;
+        state = self.wait(&self.ready, state);
+        state.waiting -= 1;
+        state
+    }
+
+    /// Takes stream `id`'s idle source and replaces `buf`'s contents with
+    /// its next `n` instructions on the calling thread, outside the lock.
+    /// The source goes back to the stream, or, if it panicked, its
+    /// message becomes the stream's failure and is returned.
+    fn generate<'a>(
+        &'a self,
+        mut state: MutexGuard<'a, State>,
+        id: usize,
+        n: usize,
+        buf: &mut Vec<TraceInst>,
+    ) -> (MutexGuard<'a, State>, Option<String>) {
+        let slot = state.slot(id);
+        // Both callers generate only from an idle source.
+        let mut source = slot.source.take().expect("idle source");
+        slot.produced += n as u64;
+        drop(state);
+        buf.clear();
+        let back = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            buf.extend(std::iter::repeat_with(|| source.next_inst()).take(n));
+        }))
+        .map(|()| source)
+        .map_err(|payload| {
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string())
+        });
+        let mut state = self.lock();
+        let slot = state.slot(id);
+        let failure = match back {
+            Ok(source) => {
+                slot.source = Some(source);
+                None
+            }
+            Err(reason) => {
+                slot.failed = Some(reason.clone());
+                Some(reason)
+            }
+        };
+        (state, failure)
+    }
+}
+
+impl State {
+    fn slot(&mut self, id: usize) -> &mut Slot {
+        // Ids index live slots: a stream frees its own only on drop.
+        self.slots[id].as_mut().expect("registered stream")
+    }
+
+    /// Returns a buffer to the pool, freeing it once the pool is full.
+    fn give_back(&mut self, buf: Vec<TraceInst>) {
+        if buf.capacity() > 0 && self.pool.len() < SUPPLY_LEAD {
+            self.pool.push(buf);
+        }
+    }
+
+    /// Wakes the supply thread if it sleeps and a buffer is free.
+    fn wake(&mut self, work: &Condvar) {
+        if self.idle && !self.pool.is_empty() {
+            self.idle = false;
+            work.notify_one();
+        }
+    }
+
+    /// The stream the supply thread fills next: the wanting one with
+    /// the fewest filled chunks, lowest id first.
+    fn next_job(&self) -> Option<usize> {
+        if self.pool.is_empty() {
+            return None;
+        }
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(id, s)| {
+                s.as_ref()
+                    .filter(|s| s.wants())
+                    .map(|s| (s.filled.len(), id))
+            })
+            .min()
+            .map(|(_, id)| id)
+    }
+}
+
+impl Supply {
+    /// A supply handing over [`SUPPLY_CHUNK`] instructions at a time.
+    pub fn new() -> Self {
+        Self::with_chunk(SUPPLY_CHUNK)
+    }
+
+    /// A supply handing over `chunk` instructions at a time. Allocates
+    /// the buffer pool and starts the supply thread.
     ///
     /// # Panics
     ///
-    /// Panics if `chunk` is zero or the helper thread cannot be spawned.
-    /// Drawing more than `limit` instructions panics.
-    pub fn with_chunk(
-        mut source: impl InstructionStream + 'static,
-        limit: u64,
-        chunk: usize,
-    ) -> Self {
-        assert!(chunk > 0, "helper chunks hold at least one instruction");
-        // Neither channel can fill: only 2 × HELPER_BATCH + 1 buffers exist.
-        let (filled_tx, filled) = sync_channel::<Vec<TraceInst>>(2 * HELPER_BATCH);
-        let (drained, drained_rx) = sync_channel::<Batch>(2);
-        for _ in 0..2 {
-            // The receiver is alive and the queue holds two batches.
-            let _ = drained.send(std::array::from_fn(|_| Vec::with_capacity(chunk)));
-        }
+    /// Panics if `chunk` is zero or the thread cannot be spawned.
+    pub fn with_chunk(chunk: usize) -> Self {
+        assert!(chunk > 0, "supply chunks hold at least one instruction");
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State {
+                slots: Vec::new(),
+                pool: (0..SUPPLY_LEAD)
+                    .map(|_| Vec::with_capacity(chunk))
+                    .collect(),
+                idle: false,
+                waiting: 0,
+                shutdown: false,
+                parked_peak: 0,
+            }),
+            work: Condvar::new(),
+            ready: Condvar::new(),
+            chunk,
+        });
+        let worker = Arc::clone(&shared);
+        RUNNING.fetch_add(1, Ordering::SeqCst);
         let thread = std::thread::Builder::new()
-            .name("itpx-stream".to_string())
+            .name("itpx-supply".to_string())
             .spawn(move || {
-                let mut left = limit;
-                // Ends at the limit or when the consumer hangs up on
-                // either channel.
-                while let Ok(batch) = drained_rx.recv() {
-                    for mut buf in batch {
-                        let n = usize::try_from(left).map_or(chunk, |left| left.min(chunk));
-                        if n == 0 {
-                            return;
-                        }
-                        left -= n as u64;
-                        buf.clear();
-                        buf.extend(std::iter::repeat_with(|| source.next_inst()).take(n));
-                        if filled_tx.send(buf).is_err() {
-                            return;
-                        }
-                    }
-                }
+                supply_loop(&worker);
+                RUNNING.fetch_sub(1, Ordering::SeqCst);
             })
             // There is no inline fallback: a host that cannot start a
             // thread cannot run the simulator.
-            .expect("spawn instruction-stream helper");
+            .expect("spawn instruction-supply thread");
+        STARTED.fetch_add(1, Ordering::SeqCst);
         Self {
-            chunk: Vec::with_capacity(chunk),
-            pos: 0,
-            spare: Batch::default(),
-            spares: 0,
-            filled,
-            drained,
-            helper: Helper(Some(thread)),
+            shared,
+            thread: Some(thread),
         }
     }
 
-    /// Sets the drained chunk aside (handing a full batch back to the
-    /// helper) and takes the next filled one, waiting for it if the
-    /// helper is behind.
-    #[cold]
-    #[inline(never)]
-    fn refill(&mut self) {
-        // spares < HELPER_BATCH: it is reset whenever it reaches it
-        self.spare[self.spares] = std::mem::take(&mut self.chunk);
-        self.spares += 1;
-        if self.spares == HELPER_BATCH {
-            self.spares = 0;
-            // A dead helper is reported by the receive below.
-            let _ = self.drained.send(std::mem::take(&mut self.spare));
-        }
-        match self.filled.recv() {
-            Ok(chunk) => {
-                self.chunk = chunk;
-                self.pos = 0;
+    /// Registers `source`: the returned stream yields exactly the
+    /// source's instructions and panics if drawn past `limit`
+    /// (`u64::MAX` for no bound). It starts parked.
+    pub fn register(&self, source: Box<dyn InstructionStream>, limit: u64) -> SupplyStream {
+        let slot = Slot {
+            source: Some(source),
+            filled: VecDeque::with_capacity(SUPPLY_LEAD),
+            produced: 0,
+            until: 0,
+            limit,
+            failed: None,
+        };
+        let mut state = self.shared.lock();
+        let id = match state.slots.iter().position(Option::is_none) {
+            Some(free) => {
+                state.slots[free] = Some(slot);
+                free
             }
-            Err(_) => self.helper.died(),
+            None => {
+                state.slots.push(Some(slot));
+                state.slots.len() - 1
+            }
+        };
+        SupplyStream {
+            chunk: Vec::new(),
+            pos: 0,
+            taken: 0,
+            id,
+            shared: Arc::clone(&self.shared),
+        }
+    }
+
+    /// The most instructions any stream of this supply held, filled
+    /// ahead but not drawn, at the moment it was parked.
+    pub fn parked_peak(&self) -> u64 {
+        self.shared.lock().parked_peak
+    }
+
+    /// Supply threads started so far in this process.
+    pub fn threads_started() -> u64 {
+        STARTED.load(Ordering::SeqCst)
+    }
+
+    /// Supply threads of this process that have not yet exited.
+    pub fn threads_running() -> u64 {
+        RUNNING.load(Ordering::SeqCst)
+    }
+}
+
+impl Default for Supply {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::fmt::Debug for Supply {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Supply")
+            .field("chunk", &self.shared.chunk)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Drop for Supply {
+    fn drop(&mut self) {
+        self.shared.lock().shutdown = true;
+        self.shared.work.notify_one();
+        if let Some(thread) = self.thread.take() {
+            // Source panics are caught in the loop, so the thread cannot
+            // have panicked; never panic in drop anyway.
+            let _ = thread.join();
         }
     }
 }
 
-impl InstructionStream for HelperStream {
+/// The supply thread: fills the neediest mounted stream's next chunk,
+/// one at a time, and sleeps when none wants one or no buffer is free.
+fn supply_loop(shared: &Shared) {
+    let mut state = shared.lock();
+    while !state.shutdown {
+        let Some(id) = state.next_job() else {
+            state.idle = true;
+            state = shared.wait(&shared.work, state);
+            state.idle = false;
+            continue;
+        };
+        // next_job found the pool non-empty.
+        let mut buf = state.pool.pop().expect("free buffer");
+        let slot = state.slot(id);
+        let n = shared.chunk.min(slot.left(slot.until));
+        let failure;
+        (state, failure) = shared.generate(state, id, n, &mut buf);
+        match failure {
+            None => state.slot(id).filled.push_back(buf),
+            Some(_) => state.give_back(buf),
+        }
+        if state.waiting > 0 {
+            shared.ready.notify_all();
+        }
+    }
+}
+
+/// An [`InstructionStream`] registered with a [`Supply`].
+///
+/// The consumer tells the supply how far it will draw with
+/// [`SupplyStream::mount`]; the supply thread then fills chunks up to
+/// that point. A refill that finds nothing filled generates the next
+/// chunk itself when the source is idle. A source panic surfaces as a
+/// panic of the consumer's refill, `instruction-stream helper panicked:
+/// <message>`, whichever thread was generating; a draw past the limit
+/// panics with "instruction stream drawn past its limit".
+///
+/// Dropping the stream waits for a chunk in flight on the supply thread,
+/// then drops its source: no source outlives its stream.
+pub struct SupplyStream {
+    chunk: Vec<TraceInst>,
+    pos: usize,
+    /// Instructions in every chunk this consumer has taken.
+    taken: u64,
+    id: usize,
+    shared: Arc<Shared>,
+}
+
+impl SupplyStream {
+    /// Announces that the consumer will draw at most `draws` more
+    /// instructions before it next calls `mount`. The supply thread
+    /// fills up to that point and no further; `mount(0)` parks the
+    /// stream and hands a drained chunk buffer back to the pool.
+    pub fn mount(&mut self, draws: u64) {
+        let drawn = self.drawn();
+        let shared = &*self.shared;
+        let mut state = shared.lock();
+        let slot = state.slot(self.id);
+        slot.until = drawn.saturating_add(draws).min(slot.limit);
+        let wake = slot.wants();
+        if draws == 0 {
+            let held = slot.produced - drawn;
+            state.parked_peak = state.parked_peak.max(held);
+            if self.pos == self.chunk.len() {
+                self.pos = 0;
+                state.give_back(std::mem::take(&mut self.chunk));
+            }
+        }
+        if wake {
+            state.wake(&shared.work);
+        }
+    }
+
+    /// Instructions the consumer has drawn so far.
+    fn drawn(&self) -> u64 {
+        self.taken - (self.chunk.len() - self.pos) as u64
+    }
+
+    /// Takes the next chunk: a filled one if the supply thread is ahead,
+    /// else one generated here if the source is idle, else the one the
+    /// supply thread is generating, once it is done.
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self) {
+        let shared = &*self.shared;
+        let mut drained = std::mem::take(&mut self.chunk);
+        let mut state = shared.lock();
+        loop {
+            let slot = state.slot(self.id);
+            if let Some(chunk) = slot.filled.pop_front() {
+                let (wants, starving) = (slot.wants(), slot.filled.is_empty());
+                self.taken += chunk.len() as u64;
+                self.chunk = chunk;
+                self.pos = 0;
+                state.give_back(drained);
+                // Wake the supply thread for a batch of chunks, or for
+                // the next one if none is left.
+                if wants && (starving || state.pool.len() >= SUPPLY_LEAD / 2) {
+                    state.wake(&shared.work);
+                }
+                return;
+            }
+            if let Some(reason) = slot.failed.clone() {
+                drop(state);
+                panic!("instruction-stream helper panicked: {reason}");
+            }
+            if slot.source.is_some() {
+                // Caller-runs: up to the mount bound, or past it in full
+                // chunks when the consumer outruns its announcement.
+                let end = if slot.produced < slot.until {
+                    slot.until
+                } else {
+                    slot.limit
+                };
+                let n = shared.chunk.min(slot.left(end));
+                if n == 0 {
+                    drop(state);
+                    panic!("instruction stream drawn past its limit");
+                }
+                if drained.capacity() == 0 {
+                    drained = state
+                        .pool
+                        .pop()
+                        .unwrap_or_else(|| Vec::with_capacity(shared.chunk));
+                }
+                let failure;
+                (state, failure) = shared.generate(state, self.id, n, &mut drained);
+                if let Some(reason) = failure {
+                    state.give_back(drained);
+                    drop(state);
+                    panic!("instruction-stream helper panicked: {reason}");
+                }
+                self.taken += n as u64;
+                self.chunk = drained;
+                self.pos = 0;
+                if state.slot(self.id).wants() {
+                    state.wake(&shared.work);
+                }
+                return;
+            }
+            // The supply thread holds the source: its chunk is next.
+            state = shared.wait_ready(state);
+        }
+    }
+}
+
+impl InstructionStream for SupplyStream {
+    #[inline]
     fn next_inst(&mut self) -> TraceInst {
         if self.pos == self.chunk.len() {
             self.refill();
@@ -212,41 +552,35 @@ impl InstructionStream for HelperStream {
     }
 }
 
-impl std::fmt::Debug for HelperStream {
+impl std::fmt::Debug for SupplyStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HelperStream")
+        f.debug_struct("SupplyStream")
+            .field("id", &self.id)
             .field("buffered", &(self.chunk.len() - self.pos))
             .finish_non_exhaustive()
     }
 }
 
-/// The helper thread of a [`HelperStream`]; joined on drop.
-struct Helper(Option<JoinHandle<()>>);
-
-impl Helper {
-    /// Reports a helper that hung up on its consumer: it does so at the
-    /// stream's limit, or by panicking.
-    fn died(&mut self) -> ! {
-        let payload = match self.0.take().map(JoinHandle::join) {
-            Some(Err(payload)) => payload,
-            _ => panic!("instruction stream drawn past its limit"),
-        };
-        let reason = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("non-string panic payload");
-        panic!("instruction-stream helper panicked: {reason}");
-    }
-}
-
-impl Drop for Helper {
+impl Drop for SupplyStream {
     fn drop(&mut self) {
-        if let Some(thread) = self.0.take() {
-            // A helper panic has either been reported by the consumer
-            // already or no longer matters; never panic in drop.
-            let _ = thread.join();
+        let shared = &*self.shared;
+        let mut state = shared.lock();
+        loop {
+            let slot = state.slot(self.id);
+            if slot.source.is_some() || slot.failed.is_some() {
+                break;
+            }
+            state = shared.wait_ready(state);
         }
+        // The loop above found the slot live.
+        let slot = state.slots[self.id].take().expect("registered stream");
+        for buf in slot.filled {
+            state.give_back(buf);
+        }
+        state.give_back(std::mem::take(&mut self.chunk));
+        drop(state);
+        // The source drops here, outside the lock.
+        drop(slot.source);
     }
 }
 

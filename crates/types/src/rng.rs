@@ -38,6 +38,7 @@ impl Rng64 {
     }
 
     /// Next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
@@ -58,6 +59,7 @@ impl Rng64 {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "Rng64::below requires a non-zero bound");
         // Lemire-style widening multiply; bias is negligible for simulation.
@@ -69,6 +71,7 @@ impl Rng64 {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn index(&mut self, bound: usize) -> usize {
         self.below(bound as u64) as usize
     }
@@ -90,11 +93,13 @@ impl Rng64 {
     }
 
     /// Uniform float in `[0, 1)`.
+    #[inline]
     pub fn f64(&mut self) -> f64 {
         Self::unit_f64(self.unit_bits())
     }
 
     /// `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.f64() < p
     }
@@ -104,6 +109,7 @@ impl Rng64 {
     /// # Panics
     ///
     /// Panics if `lo > hi`.
+    #[inline]
     pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo <= hi, "Rng64::range requires lo <= hi");
         lo + self.below(hi - lo + 1)
