@@ -29,7 +29,7 @@ use itpx_trace::TierSchedule;
 use itpx_types::{Fnv1a, LevelId, OnlineMean, StructStats};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// File magic: identifies simcache entries.
 const MAGIC: &[u8; 8] = b"ITPXSIMC";
@@ -131,19 +131,23 @@ impl SimCache {
         self.lookup(key)
     }
 
+    /// The in-memory map, recovered if a panicking holder poisoned the
+    /// lock: its only writes are whole-entry inserts of validated
+    /// outputs, so every entry it holds is still a real result.
+    fn mem(&self) -> MutexGuard<'_, std::collections::BTreeMap<u64, SimulationOutput>> {
+        self.mem.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn lookup(&self, key: u64) -> Option<SimulationOutput> {
         if !self.enabled {
             return None;
         }
-        if let Some(out) = self.mem.lock().expect("simcache poisoned").get(&key) {
+        if let Some(out) = self.mem().get(&key) {
             return Some(out.clone());
         }
         let bytes = self.store.as_ref()?.get(key)?;
         let (_, out) = decode_entry_bytes(&bytes).filter(|&(k, _)| k == key)?;
-        self.mem
-            .lock()
-            .expect("simcache poisoned")
-            .insert(key, out.clone());
+        self.mem().insert(key, out.clone());
         Some(out)
     }
 
@@ -153,10 +157,7 @@ impl SimCache {
         if !self.enabled {
             return;
         }
-        self.mem
-            .lock()
-            .expect("simcache poisoned")
-            .insert(key, out.clone());
+        self.mem().insert(key, out.clone());
         if let Some(store) = &self.store {
             // Persistence failures (read-only disk, races, pruning) only
             // cost a re-simulation later, so they are not errors.
@@ -453,6 +454,29 @@ mod tests {
     /// The decoded output when `bytes` validate as an entry for `key`.
     fn decode_for(bytes: &[u8], key: u64) -> Option<SimulationOutput> {
         decode_entry_bytes(bytes).and_then(|(k, out)| (k == key).then_some(out))
+    }
+
+    #[test]
+    fn a_poisoned_memory_lock_still_reads_and_inserts() {
+        let dir = temp_dir("poison");
+        let out = sample_output();
+        SimCache::new(Some(dir.clone())).insert(1, &out);
+        let cache = SimCache::new(Some(dir.clone()));
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = cache.mem.lock();
+                panic!("poison the simcache lock");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && cache.mem.is_poisoned());
+        // A disk hit is decoded into the poisoned map, then served from it.
+        assert_eq!(cache.get(1), Some(out.clone()));
+        assert_eq!(cache.mem().len(), 1);
+        cache.insert(2, &out);
+        assert_eq!(cache.get(2), Some(out));
+        assert_eq!(cache.hits(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Magic prefix of every segment file.
 const SEG_MAGIC: &[u8; 8] = b"ITPXSEG1";
@@ -122,6 +122,13 @@ fn prune_due(cap: u64, disk_bytes: Option<u64>, inactive: bool) -> bool {
     disk_bytes.is_none_or(|total| total > cap && inactive)
 }
 
+/// Whether a refresh must open a segment: unless its on-disk length is
+/// known and equals its scan cursor, it may hold bytes not yet
+/// validated (a new segment, another writer's append, a torn tail).
+fn scan_due(cursor: Option<u64>, len: Option<u64>) -> bool {
+    cursor.is_none() || cursor != len
+}
+
 /// A multi-process-safe segmented entry store. See the module docs for
 /// the concurrency model.
 #[derive(Debug)]
@@ -146,6 +153,14 @@ impl SegmentStore {
         &self.dir
     }
 
+    /// The store state, recovered if a panicking holder poisoned the
+    /// lock: the index and cursors are only hints (every read
+    /// re-validates its record, and a cursor stops before any record it
+    /// has not validated), so a half-updated state costs at most a miss.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn segments_dir(&self) -> PathBuf {
         self.dir.join("segments")
     }
@@ -154,7 +169,7 @@ impl SegmentStore {
     /// appends from other processes). Every failure mode — pruned
     /// segment, torn record, corrupt bytes — degrades to `None`.
     pub fn get(&self, key: u64) -> Option<Vec<u8>> {
-        let mut state = self.state.lock().expect("segment store poisoned");
+        let mut state = self.state();
         if let Some(bytes) = self.read_indexed(&mut state, key) {
             return Some(bytes);
         }
@@ -180,7 +195,7 @@ impl SegmentStore {
     /// process's segment. Best-effort: IO failures only cost a future
     /// re-simulation, so they are deliberately swallowed.
     pub fn insert(&self, key: u64, entry: &[u8]) {
-        let mut state = self.state.lock().expect("segment store poisoned");
+        let mut state = self.state();
         if self.append(&mut state, key, entry).is_none() {
             // The next append opens a new segment; list again to learn
             // what the failed one left on disk.
@@ -263,21 +278,29 @@ impl SegmentStore {
     /// known segments are validated record by record and indexed. The
     /// scan cursor only advances past fully-valid records, so a torn
     /// concurrent append is retried on the next refresh instead of being
-    /// skipped or served.
+    /// skipped or served. A segment whose length equals its cursor has
+    /// nothing new and is not opened.
     fn refresh(&self, state: &mut State) {
         let dir = self.segments_dir();
         let Ok(entries) = std::fs::read_dir(&dir) else {
             return;
         };
-        let mut paths: Vec<PathBuf> = entries
+        let mut segments: Vec<(PathBuf, Option<u64>)> = entries
             .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+            .filter_map(|e| {
+                let path = e.path();
+                let is_segment = path.extension().is_some_and(|x| x == "seg");
+                is_segment.then(|| (path, e.metadata().ok().map(|m| m.len())))
+            })
             .collect();
-        paths.sort();
-        for path in paths {
-            let start = match state.scanned.get(&path) {
-                Some(&start) => start,
+        segments.sort();
+        for (path, len) in segments {
+            let cursor = state.scanned.get(&path).copied();
+            if !scan_due(cursor, len) {
+                continue;
+            }
+            let start = match cursor {
+                Some(start) => start,
                 None => {
                     // A segment the running byte total does not hold.
                     state.disk_bytes = None;
@@ -478,6 +501,39 @@ mod tests {
         let mut bytes = entry.to_vec();
         bytes[12..20].copy_from_slice(&key.to_le_bytes());
         bytes
+    }
+
+    #[test]
+    fn a_poisoned_store_lock_still_reads_and_inserts() {
+        let dir = temp_dir("poison");
+        let store = SegmentStore::new(dir.clone(), StoreConfig::default());
+        let entry = sample_entry(1);
+        store.insert(1, &entry);
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = store.state.lock();
+                panic!("poison the store lock");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && store.state.is_poisoned());
+        assert_eq!(store.get(1), Some(entry.clone()));
+        let second = entry_bytes_for(&entry, 2);
+        store.insert(2, &second);
+        assert_eq!(store.get(2), Some(second));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn refresh_scans_only_segments_with_unscanned_bytes() {
+        // Unknown segment or unknown length: scan.
+        assert!(scan_due(None, Some(12)));
+        assert!(scan_due(Some(12), None));
+        assert!(scan_due(None, None));
+        // Grew past the cursor (an append, or a torn tail being retried).
+        assert!(scan_due(Some(12), Some(40)));
+        // Fully scanned: nothing new to open.
+        assert!(!scan_due(Some(40), Some(40)));
     }
 
     #[test]

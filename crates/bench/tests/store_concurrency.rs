@@ -196,3 +196,37 @@ fn cross_instance_visibility_through_one_directory() {
     assert_eq!(a.get(200), Some(out), "a sees b's insert");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A reader that has scanned every segment to its end still finds a
+/// later append by another writer, both to a segment it already scanned
+/// (refresh skips only segments whose length equals its cursor) and in
+/// a segment that did not exist at its last refresh.
+#[test]
+fn appends_after_a_full_scan_are_still_found() {
+    let dir = temp_dir("append-after-scan");
+    let out = sample_output();
+    let writer = SimCache::new(Some(dir.clone()));
+    let reader = SimCache::new(Some(dir.clone()));
+    writer.insert(1, &out);
+    assert_eq!(reader.get(1), Some(out.clone()));
+    // A miss refreshes again over the unchanged, fully scanned segment.
+    assert_eq!(reader.get(2), None);
+    writer.insert(2, &out);
+    assert_eq!(
+        reader.get(2),
+        Some(out.clone()),
+        "append to a scanned segment lost"
+    );
+    let second = SimCache::new(Some(dir.clone()));
+    second.insert(3, &out);
+    assert_eq!(
+        reader.get(3),
+        Some(out.clone()),
+        "second writer's segment lost"
+    );
+    writer.insert(4, &out);
+    second.insert(5, &out);
+    assert_eq!(reader.get(4), Some(out.clone()));
+    assert_eq!(reader.get(5), Some(out), "second writer's append lost");
+    let _ = std::fs::remove_dir_all(&dir);
+}

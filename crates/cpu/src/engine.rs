@@ -58,11 +58,12 @@ const FF_WARM_CAP: u64 = 250_000;
 /// program state through the functional machine (plus the free skip
 /// beyond [`FF_WARM_CAP`]), and [`Tier::Window`] measures
 /// cycle-accurately. Measured with `perfbench --trace 1` on a 2-vCPU
-/// x86-64 host, the functional tier costs ~60 ns per instruction (45–75
-/// ns over six runs; `cpu.functional.ns_per_inst`, tiered-tenants) and
-/// the cycle tier ~340 ns (1 / `host.sim_ips_raw`, server-flat), about
-/// 5.7× apart; neither figure includes instruction synthesis, which
-/// runs on the supply thread when it is ahead.
+/// x86-64 host, the functional tier costs ~82 ns per instruction (68–83
+/// ns over three runs; `cpu.functional.ns_per_inst`, tiered-tenants) and
+/// the cycle tier ~300 ns (266–354 ns over three runs; 1 /
+/// `host.sim_ips_raw`, server-flat), about 3.6× apart; neither figure
+/// includes instruction synthesis, which runs on the supply thread when
+/// it is ahead.
 /// [`Tier::segments`] lowers a [`TierSchedule`] into this form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {

@@ -3,7 +3,9 @@
 
 use itpx_policy::{CacheMeta, CachePolicyEngine, Policy};
 use itpx_types::fingerprint::{Fingerprint, Fnv1a};
-use itpx_types::{Cycle, FillClass, ResetBoundary, SetMask, SlotPool, StructStats};
+use itpx_types::{Cycle, FillClass, ResetBoundary, SetMask, StructStats};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One resident line as exported/imported at a tier boundary:
 /// `(block, dirty, fill_class)`. The fill class is the stored meta's class
@@ -63,12 +65,17 @@ impl Fingerprint for CacheConfig {
     }
 }
 
+/// One resident line: only what the cache reads back. The fill's
+/// `CacheMeta` goes to the policy hooks; the line keeps just its class
+/// (for export) and whether a demand access has yet to touch it.
 #[derive(Debug, Clone, Copy)]
 struct Line {
     block: u64,
     ready: Cycle,
     dirty: bool,
-    meta: CacheMeta,
+    /// Brought in by a prefetch and not yet demand-touched.
+    prefetched: bool,
+    fill: FillClass,
 }
 
 /// Result of a cache probe.
@@ -113,8 +120,10 @@ pub struct Cache {
     /// calls inline instead of going through a vtable.
     policy: CachePolicyEngine,
     stats: StructStats,
-    /// Completion times of outstanding misses (lazy-cleaned MSHR model).
-    inflight: SlotPool<Cycle>,
+    /// Completion times of outstanding fills, earliest on top
+    /// (lazy-cleaned MSHR model: expired entries are popped at the next
+    /// miss).
+    inflight: BinaryHeap<Reverse<Cycle>>,
     prefetch_issued: u64,
     prefetch_useful: u64,
     writebacks: u64,
@@ -139,7 +148,8 @@ impl Cache {
             block: 0,
             ready: 0,
             dirty: false,
-            meta: CacheMeta::demand(0, FillClass::DataPayload),
+            prefetched: false,
+            fill: FillClass::DataPayload,
         };
         Self {
             lines: vec![placeholder; cfg.sets * cfg.ways].into_boxed_slice(),
@@ -149,7 +159,7 @@ impl Cache {
             set_mask: SetMask::new(cfg.sets),
             policy,
             stats: StructStats::new(),
-            inflight: SlotPool::with_capacity(cfg.mshr_entries),
+            inflight: BinaryHeap::with_capacity(cfg.mshr_entries),
             prefetch_issued: 0,
             prefetch_useful: 0,
             writebacks: 0,
@@ -245,9 +255,12 @@ impl Cache {
                     self.stats.record(meta.fill, false);
                     // slot indexes a valid way found above
                     let line = &mut self.lines[slot];
-                    if line.meta.pc == u64::MAX {
-                        // First demand touch of a prefetched block.
-                        line.meta.pc = meta.pc;
+                    if line.prefetched {
+                        // First demand touch of a prefetched block. A
+                        // demand PC of u64::MAX leaves the mark set, as
+                        // when the mark was that PC value, so counts
+                        // stay bit-identical.
+                        line.prefetched = meta.pc == u64::MAX;
                         self.prefetch_useful += 1;
                     }
                 }
@@ -265,12 +278,17 @@ impl Cache {
         }
     }
 
-    /// Reserves an MSHR: returns the cycle the miss may proceed.
+    /// Reserves an MSHR: returns the cycle the miss may proceed. Fills
+    /// completed by `now` leave the heap; if the rest occupy every MSHR
+    /// the miss waits for the earliest of them.
     fn mshr_allocate(&mut self, now: Cycle) -> Cycle {
-        self.inflight.retain(|&r| r > now);
+        while self.inflight.peek().is_some_and(|&Reverse(r)| r <= now) {
+            self.inflight.pop();
+        }
         if self.inflight.len() >= self.cfg.mshr_entries {
-            // guarded: len >= mshr_entries >= 1, so a minimum exists
-            self.inflight.iter().copied().min().unwrap_or(now).max(now)
+            // guarded: len >= mshr_entries >= 1, so a top exists, and
+            // every entry left is > now
+            self.inflight.peek().map_or(now, |&Reverse(r)| r)
         } else {
             now
         }
@@ -278,7 +296,8 @@ impl Cache {
 
     /// Installs `meta.block`, becoming readable at `ready`. Returns the
     /// displaced dirty block, if any. `demand` records the end-to-end miss
-    /// latency (`ready - miss_start`).
+    /// latency (`ready - miss_start`). A block already resident (e.g. a
+    /// racing prefetch) is only refreshed.
     pub fn fill(
         &mut self,
         meta: &CacheMeta,
@@ -286,24 +305,33 @@ impl Cache {
         ready: Cycle,
         demand: bool,
     ) -> Option<Writeback> {
-        if demand {
-            self.stats
-                .record_miss_latency(ready.saturating_sub(miss_start));
-        } else {
-            self.prefetch_issued += 1;
-        }
-        self.inflight.insert(ready);
         let set = self.set_of(meta.block);
-        // Refill of a resident block (e.g. racing prefetch): refresh only.
-        if let Some(way) = self.find_way(set, meta.block) {
-            self.policy.on_hit(set, way, meta);
-            return None;
+        match self.find_way(set, meta.block) {
+            Some(way) => {
+                self.record_fill(miss_start, ready, demand);
+                self.policy.on_hit(set, way, meta);
+                None
+            }
+            None => self.fill_miss(meta, miss_start, ready, demand),
         }
-        let mut stored = *meta;
-        if !demand {
-            // Mark prefetched lines so the first demand touch is counted.
-            stored.pc = u64::MAX;
-        }
+    }
+
+    /// [`Cache::fill`] for a block known to be absent: the miss path of
+    /// the level chain, where nothing touches this level between the
+    /// probe that missed and the fill, skips the second set scan.
+    pub(crate) fn fill_miss(
+        &mut self,
+        meta: &CacheMeta,
+        miss_start: Cycle,
+        ready: Cycle,
+        demand: bool,
+    ) -> Option<Writeback> {
+        let set = self.set_of(meta.block);
+        debug_assert!(
+            self.find_way(set, meta.block).is_none(),
+            "fill_miss of a resident block"
+        );
+        self.record_fill(miss_start, ready, demand);
         let (way, wb) = match self.first_free_way(set) {
             Some(w) => (w, None),
             None => {
@@ -337,19 +365,41 @@ impl Cache {
             block: meta.block,
             ready,
             dirty: false,
-            meta: stored,
+            // Marked so the first demand touch is counted; a demand PC of
+            // u64::MAX marks the line too (see `probe`).
+            prefetched: !demand || meta.pc == u64::MAX,
+            fill: meta.fill,
         };
         self.policy.on_fill(set, way, meta);
         wb
     }
 
-    /// Marks `block` dirty if resident (stores; dirty writeback landing).
-    pub fn mark_dirty(&mut self, block: u64) {
+    /// The bookkeeping every fill does, resident or not: miss latency or
+    /// prefetch count, and one more in-flight completion.
+    fn record_fill(&mut self, miss_start: Cycle, ready: Cycle, demand: bool) {
+        if demand {
+            self.stats
+                .record_miss_latency(ready.saturating_sub(miss_start));
+        } else {
+            self.prefetch_issued += 1;
+        }
+        // itpx-allow: hot-alloc grow-once heap: grows only until its capacity matches peak in-flight occupancy, then reuses it
+        self.inflight.push(Reverse(ready));
+    }
+
+    /// Marks `block` dirty if resident (stores; dirty writeback landing)
+    /// and returns whether it was: one set scan serves both the residency
+    /// test and the mark.
+    pub fn mark_dirty(&mut self, block: u64) -> bool {
         let set = self.set_of(block);
-        if let Some(way) = self.find_way(set, block) {
-            let slot = self.slot(set, way);
-            // slot indexes a valid way found above
-            self.lines[slot].dirty = true;
+        match self.find_way(set, block) {
+            Some(way) => {
+                let slot = self.slot(set, way);
+                // slot indexes a valid way found above
+                self.lines[slot].dirty = true;
+                true
+            }
+            None => false,
         }
     }
 
@@ -381,7 +431,7 @@ impl Cache {
                 // way comes from the set's valid mask, so slot(set, way)
                 // is in bounds by construction
                 let line = &self.lines[self.slot(set, way)];
-                out.push((line.block, line.dirty, line.meta.fill));
+                out.push((line.block, line.dirty, line.fill));
                 mask &= mask - 1;
             }
         }
@@ -400,7 +450,7 @@ impl Cache {
         for v in self.valid.iter_mut() {
             *v = 0;
         }
-        self.inflight.retain(|_| false);
+        self.inflight.clear();
         for (block, dirty, class) in lines {
             let set = self.set_of(block);
             if self.find_way(set, block).is_some() {
@@ -426,7 +476,8 @@ impl Cache {
                 block,
                 ready: 0,
                 dirty,
-                meta,
+                prefetched: false,
+                fill: class,
             };
             self.policy.on_fill(set, way, &meta);
         }
@@ -549,6 +600,70 @@ mod tests {
         // Second touch does not double-count.
         let _ = c.probe(&m(4), 30, true);
         assert_eq!(c.prefetches_useful(), 1);
+    }
+
+    #[test]
+    fn lines_are_24_bytes() {
+        // block + ready + three one-byte fields: the LLC's line array is
+        // half what a whole stored CacheMeta made it.
+        assert_eq!(std::mem::size_of::<Line>(), 24);
+    }
+
+    #[test]
+    fn a_prefetched_lines_first_demand_hit_counts_once() {
+        let mut c = cache(4, 2);
+        c.fill(&m(4), 0, 10, false);
+        // A second prefetch of the resident block only refreshes it.
+        c.fill(&m(4), 0, 12, false);
+        assert_eq!(c.prefetches_issued(), 2);
+        for now in [20, 30, 40] {
+            assert!(matches!(c.probe(&m(4), now, true), Probe::Hit(_)));
+        }
+        assert_eq!(c.prefetches_useful(), 1);
+
+        // Imported lines are demand lines: their hits are not prefetch
+        // hits, and a prefetch after the import counts once again.
+        c.fill(&m(5), 0, 10, false);
+        let lines = c.export_lines();
+        let mut dst = cache(4, 2);
+        dst.import_lines(lines);
+        for now in [50, 60] {
+            assert!(matches!(dst.probe(&m(4), now, true), Probe::Hit(_)));
+            assert!(matches!(dst.probe(&m(5), now, true), Probe::Hit(_)));
+        }
+        assert_eq!(dst.prefetches_useful(), 0);
+        dst.fill(&m(6), 0, 70, false);
+        for now in [80, 90] {
+            assert!(matches!(dst.probe(&m(6), now, true), Probe::Hit(_)));
+        }
+        assert_eq!(dst.prefetches_useful(), 1);
+    }
+
+    #[test]
+    fn a_demand_pc_equal_to_the_old_prefetch_marker_keeps_the_line_marked() {
+        // The old model marked prefetched lines by storing pc = u64::MAX
+        // and counted every demand hit that found that marker; a demand
+        // fill or hit carrying that PC behaved like the marker.
+        let marker = CacheMeta {
+            pc: u64::MAX,
+            ..m(9)
+        };
+        let mut c = cache(4, 2);
+        c.fill(&marker, 0, 0, true);
+        let _ = c.probe(&m(9), 10, true);
+        assert_eq!(c.prefetches_useful(), 1);
+        c.fill(&m(3), 0, 0, false);
+        let _ = c.probe(
+            &CacheMeta {
+                pc: u64::MAX,
+                ..m(3)
+            },
+            10,
+            true,
+        );
+        let _ = c.probe(&m(3), 20, true);
+        let _ = c.probe(&m(3), 30, true);
+        assert_eq!(c.prefetches_useful(), 3);
     }
 
     #[test]

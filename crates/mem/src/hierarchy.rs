@@ -471,7 +471,10 @@ impl Hierarchy {
                     Some(next) => self.access_chain(next, &meta, lower_start, demand),
                     None => self.dram.read(lower_start),
                 };
-                let wb = self.levels[idx].cache.fill(&meta, start, below, demand);
+                // Only strictly-lower levels ran since the probe missed.
+                let wb = self.levels[idx]
+                    .cache
+                    .fill_miss(&meta, start, below, demand);
                 self.route_writeback(idx, wb, below);
                 below
             }
@@ -489,8 +492,7 @@ impl Hierarchy {
         let Some(wb) = wb else { return };
         let mut next = self.levels[from].next;
         while let Some(idx) = next {
-            if self.levels[idx].cache.contains(wb.block) {
-                self.levels[idx].cache.mark_dirty(wb.block);
+            if self.levels[idx].cache.mark_dirty(wb.block) {
                 self.wb_absorbed += 1;
                 return;
             }
@@ -523,7 +525,9 @@ impl Hierarchy {
             Some(next) => self.access_chain(next, &meta, now, false),
             None => self.dram.read(now),
         };
-        let wb = self.levels[idx].cache.fill(&meta, now, below, false);
+        // Absent at the check above, and only strictly-lower levels ran
+        // since.
+        let wb = self.levels[idx].cache.fill_miss(&meta, now, below, false);
         // Private-level prefetch writebacks route at the issue cycle;
         // shared-level ones route when the line arrives.
         let at = if self.levels[idx].id.is_private() {

@@ -140,4 +140,49 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn miss_delays_match_the_retain_min_mshr_model(
+        ops in prop::collection::vec((0u64..48, 0u64..2_000, 0u64..600, 0u8..4), 1..300),
+        mshrs in 1usize..5,
+    ) {
+        // `now` and `ready` jump back and forth, as dataflow timestamps
+        // do: the heap must keep the same multiset, count and minimum
+        // as a Vec cleaned with `retain` and scanned with `min`.
+        let mut c = Cache::new(
+            CacheConfig {
+                sets: 4,
+                ways: 2,
+                latency: 3,
+                mshr_entries: mshrs,
+            },
+            Lru::new(4, 2),
+        );
+        let mut inflight: Vec<u64> = Vec::new();
+        for &(block, now, delay, kind) in &ops {
+            let m = CacheMeta::demand(block, FillClass::DataPayload);
+            // kind 0: a fill racing the probe (possibly of a resident
+            // block), landing at an arbitrary cycle; else a demand probe.
+            if kind == 0 {
+                c.fill(&m, now, delay * 3, false);
+                inflight.push(delay * 3);
+                continue;
+            }
+            match c.probe(&m, now, true) {
+                Probe::Hit(_) => {}
+                Probe::Miss(start) => {
+                    inflight.retain(|&r| r > now);
+                    let expected = if inflight.len() >= mshrs {
+                        inflight.iter().copied().min().unwrap_or(now).max(now)
+                    } else {
+                        now
+                    };
+                    prop_assert_eq!(start, expected, "miss delay at now={}", now);
+                    let ready = start + delay;
+                    c.fill(&m, start, ready, true);
+                    inflight.push(ready);
+                }
+            }
+        }
+    }
 }

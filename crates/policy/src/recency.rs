@@ -110,14 +110,17 @@ impl RecencyStack {
         let depth = depth.min(self.ways - 1);
         let cur = self.depth_of(set, way);
         let row = self.order.row_mut(set);
-        // Rotating the span between the old and new positions is exactly
-        // `remove(cur)` + `insert(depth, …)` on the fixed-length row:
-        // every entry passed shifts one slot toward LRU or MRU.
+        // Shifting the span between the old and new positions by one and
+        // writing the moved way at `depth` is exactly `remove(cur)` +
+        // `insert(depth, …)` on the fixed-length row: every entry passed
+        // shifts one slot toward LRU or MRU.
+        let moved = row[cur];
         if cur < depth {
-            row[cur..=depth].rotate_left(1);
+            row.copy_within(cur + 1..=depth, cur);
         } else {
-            row[depth..=cur].rotate_right(1);
+            row.copy_within(depth..cur, depth + 1);
         }
+        row[depth] = moved;
     }
 
     /// Places `way` at `height` from the bottom (clamped).

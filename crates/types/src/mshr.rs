@@ -1,22 +1,26 @@
 //! A fixed-capacity slot pool for lazily-cleaned MSHR models.
 //!
-//! The cache and TLB miss-status tables track a small set of outstanding
-//! misses: entries are inserted at fill/allocate time and expire when the
-//! simulated clock passes their completion cycle. The previous
-//! implementations used `Vec::retain` (compacting move per expiry) and
-//! `BTreeMap` (node allocation per miss) on the hottest simulator paths.
+//! The TLB miss-status table (`itpx_vm::Tlb`) tracks a small set of
+//! outstanding misses keyed by page: entries are inserted at allocate
+//! time, looked up by key while the walk is in flight, and expire when
+//! the simulated clock passes their completion cycle. Its pools peak at
+//! 8–16 slots, so a linear scan is the cheapest lookup.
 //!
-//! [`SlotPool`] replaces both: a boxed-once array of `Option<T>` slots
-//! sized to the MSHR capacity. Expiry tombstones a slot in place and
-//! insertion reuses the first free slot, so steady-state operation
-//! performs no allocation and no element moves. If the lazily-cleaned
-//! model transiently overflows its nominal capacity (completions recorded
-//! before earlier entries expire), the pool grows once and keeps the
-//! larger footprint — still allocation-free afterwards.
+//! [`SlotPool`] is a boxed-once array of `Option<T>` slots sized to the
+//! MSHR capacity. Expiry tombstones a slot in place and insertion reuses
+//! the first free slot, so steady-state operation performs no allocation
+//! and no element moves. If the lazily-cleaned model transiently
+//! overflows its nominal capacity (completions recorded before earlier
+//! entries expire), the pool grows once and keeps the larger footprint —
+//! still allocation-free afterwards.
+//!
+//! The caches do not use it: a cache's in-flight fills need only a count
+//! and a minimum, never a key, and their lazily-cleaned pool grows to
+//! hundreds of slots, so `itpx_mem::Cache` keeps them in a min-heap.
 //!
 //! Slot order is a deterministic function of the insert/expire history, so
 //! simulations using it are exactly reproducible; consumers must not
-//! derive *decisions* from slot order alone (the cache/TLB users only take
+//! derive *decisions* from slot order alone (the TLB only takes
 //! order-insensitive views: counts, minima, and key lookups).
 
 /// Fixed-capacity pool of live entries with in-place expiry.
