@@ -24,10 +24,11 @@ use crate::simcache::SimCache;
 use itpx_core::presets::BuildConfig;
 use itpx_core::Preset;
 use itpx_cpu::{Simulation, SimulationOutput, SystemConfig};
-use itpx_trace::{SmtPairSpec, WorkloadSpec};
+use itpx_trace::{SmtPairSpec, TraceGenerator, WorkloadSpec};
 use itpx_types::fingerprint::{Fingerprint, Fnv1a};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 
 /// Version tag mixed into every request key; bump when the simulator
 /// changes behavior without changing any configuration field.
@@ -116,6 +117,15 @@ impl SimRequest {
         self.build.fingerprint(&mut h);
         self.unit.fingerprint(&mut h);
         h.finish()
+    }
+
+    /// The workload whose generator layout can be built ahead of this
+    /// request's run: a single-thread, single-tenant one.
+    fn prefetchable(&self) -> Option<&WorkloadSpec> {
+        match &self.unit {
+            SimUnit::Single(w) if w.contexts.is_flat() => Some(w),
+            _ => None,
+        }
     }
 
     /// Runs the simulation (no cache involvement).
@@ -225,6 +235,73 @@ fn poll_backoff_ms(round: u32) -> u64 {
     (25 * (u64::from(round) + 1)).min(250)
 }
 
+/// Layout prefetch helpers this process started, and those still running.
+static HELPERS_STARTED: AtomicU64 = AtomicU64::new(0);
+static HELPERS_RUNNING: AtomicU64 = AtomicU64::new(0);
+
+/// Whether the host has a core a pool of `workers` threads leaves idle.
+/// It follows the CPUs the process may run on, so a pinned run has none.
+fn core_left_idle(workers: usize) -> bool {
+    std::thread::available_parallelism().is_ok_and(|cores| cores.get() > workers)
+}
+
+/// Distinct prefetchable workloads in run order, and each job's queue
+/// index with its workload's ordinal among them.
+type LayoutPlan<'q> = (Vec<&'q WorkloadSpec>, Vec<(usize, Option<usize>)>);
+
+/// A cold batch's layout prefetch plan for running the queue entries at
+/// `indices` in order. Only single-thread, single-tenant workloads are
+/// prefetched. Equal workloads run back to back (workload-major), so
+/// comparing each with the previous one finds the distinct ones.
+fn layout_plan(queue: &WorkQueue, indices: Vec<usize>) -> LayoutPlan<'_> {
+    let mut specs: Vec<&WorkloadSpec> = Vec::new();
+    let mut last = None;
+    let jobs = indices
+        .into_iter()
+        .map(|i| {
+            let req = &queue.jobs[i].1;
+            let ordinal = req.prefetchable().map(|w| {
+                let unit = req.unit.fingerprint_u64();
+                if last != Some(unit) {
+                    last = Some(unit);
+                    specs.push(w);
+                }
+                specs.len() - 1
+            });
+            (i, ordinal)
+        })
+        .collect();
+    (specs, jobs)
+}
+
+/// The prefetch helper's loop: for each ordinal the jobs ask for, build
+/// that workload's layout into the memo's prefetch slot. A job asks for
+/// the next workload only after taking its own layout, and requests the
+/// jobs have already passed are skipped. The handle of the newest
+/// prefetch is dropped before the next and on exit, which withdraws it
+/// if no job took it.
+fn prefetch_layouts(specs: &[&WorkloadSpec], requests: mpsc::Receiver<usize>) {
+    HELPERS_STARTED.fetch_add(1, Ordering::SeqCst);
+    HELPERS_RUNNING.fetch_add(1, Ordering::SeqCst);
+    let mut held = None;
+    let mut next = 0;
+    while let Ok(first) = requests.recv() {
+        let k = requests.try_iter().fold(first, usize::max);
+        if k < next {
+            continue;
+        }
+        drop(held.take());
+        next = k + 1;
+        // A build that panics is left to the job that needs it, which
+        // then fails with its own message.
+        held = std::panic::catch_unwind(|| TraceGenerator::prefetch(specs[k]))
+            .ok()
+            .flatten();
+    }
+    drop(held);
+    HELPERS_RUNNING.fetch_sub(1, Ordering::SeqCst);
+}
+
 /// Shared scheduler + cache for a whole campaign of figures.
 #[derive(Debug)]
 pub struct Campaign {
@@ -294,6 +371,16 @@ impl Campaign {
     /// from the cache or received from peer shards).
     pub fn executed(&self) -> u64 {
         self.executed.load(Ordering::Relaxed)
+    }
+
+    /// Layout prefetch helper threads started so far in this process.
+    pub fn prefetch_helpers_started() -> u64 {
+        HELPERS_STARTED.load(Ordering::SeqCst)
+    }
+
+    /// Layout prefetch helper threads of this process not yet finished.
+    pub fn prefetch_helpers_running() -> u64 {
+        HELPERS_RUNNING.load(Ordering::SeqCst)
     }
 
     /// Resolves a batch of requests, in request order.
@@ -378,14 +465,46 @@ impl Campaign {
 
     /// Runs the queue entries at `indices` on the local sweep, inserting
     /// each result into the cache as it completes.
+    ///
+    /// When the pool leaves a host core idle and the jobs span more than
+    /// one prefetchable workload, one helper thread on that core builds
+    /// the generator layout of the next workload while the current one
+    /// simulates, so the next job finds it built (or in flight). The
+    /// helper builds what the job would have built, into the same memo,
+    /// so outputs are unchanged; it has exited when this returns.
     fn execute_jobs(&self, queue: &WorkQueue, indices: Vec<usize>) -> Vec<(u64, SimulationOutput)> {
         self.executed
             .fetch_add(indices.len() as u64, Ordering::Relaxed);
-        self.sweep.run_generic(indices, |&i| {
-            let (key, req) = &queue.jobs[i];
-            let out = req.execute();
-            self.cache.insert(*key, &out);
-            (*key, out)
+        let workers = self.sweep.workers(indices.len());
+        let (specs, jobs) = layout_plan(queue, indices);
+        let specs = &specs;
+        std::thread::scope(|scope| {
+            let ask = (specs.len() > 1 && core_left_idle(workers)).then(|| {
+                let (ask, requests) = mpsc::channel();
+                // Without the helper the jobs' requests go nowhere,
+                // which is harmless.
+                let _ = std::thread::Builder::new()
+                    .name("layout-prefetch".into())
+                    .spawn_scoped(scope, move || prefetch_layouts(specs, requests));
+                ask
+            });
+            // The closure owns `ask`: when the sweep ends, even by a
+            // panic, the channel closes and the helper exits.
+            self.sweep.run_generic(jobs, move |&(i, ordinal)| {
+                if let (Some(ask), Some(o)) = (&ask, ordinal) {
+                    // Take this job's layout before asking for the next
+                    // one: the helper withdraws its previous prefetch
+                    // before the next if no job has taken it.
+                    drop(TraceGenerator::new(specs[o]));
+                    if o + 1 < specs.len() {
+                        let _ = ask.send(o + 1);
+                    }
+                }
+                let (key, req) = &queue.jobs[i];
+                let out = req.execute();
+                self.cache.insert(*key, &out);
+                (*key, out)
+            })
         })
     }
 

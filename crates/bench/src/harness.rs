@@ -97,6 +97,11 @@ impl Sweep {
         }
     }
 
+    /// Threads a sweep of `jobs` jobs runs on.
+    pub fn workers(&self, jobs: usize) -> usize {
+        self.host_threads.min(jobs.max(1))
+    }
+
     /// Maps `jobs` through `f` in parallel, returning results in job order.
     pub fn run<J, F>(&self, jobs: Vec<J>, f: F) -> Vec<SimulationOutput>
     where
@@ -121,7 +126,7 @@ impl Sweep {
     {
         let n = jobs.len();
         let cursor = AtomicUsize::new(0);
-        let workers = self.host_threads.min(n.max(1));
+        let workers = self.workers(n);
         let buffers: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
@@ -140,7 +145,11 @@ impl Sweep {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
+                // A job's panic surfaces with its own payload.
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
                 .collect()
         });
         let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();

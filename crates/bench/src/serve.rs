@@ -18,7 +18,12 @@
 //!   campaign scale's run lengths (together at most
 //!   `MAX_SIM_INSTRUCTIONS`).
 //! * `/metrics` — Prometheus-style text: store hits/misses, queue
-//!   depth, request totals, per-figure latency histograms.
+//!   depth, request totals, generator layout builds and prefetch hits,
+//!   per-figure latency histograms.
+//!
+//! A connection that sends no byte of its request head, or takes none of
+//! its response, for [`IO_TIMEOUT`] is dropped; a head cut short that way
+//! gets a 408 and no route.
 //!
 //! Start it with the `itpx-serve` binary (`ITPX_SERVE_ADDR` picks the
 //! bind address) or embed it with [`start`].
@@ -27,14 +32,14 @@ use crate::campaign::{Campaign, SimRequest};
 use crate::figures;
 use itpx_core::Preset;
 use itpx_cpu::{SimulationOutput, SystemConfig};
-use itpx_trace::WorkloadSpec;
+use itpx_trace::{TraceGenerator, WorkloadSpec};
 use itpx_types::stats::Histogram;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Buckets of the per-figure latency histogram. Bucket `i` holds
 /// `[2^i, 2^(i+1))` ms (bucket 0 also holds 0), so its `le` bound is
@@ -44,6 +49,11 @@ const LATENCY_BUCKETS: usize = 17;
 
 /// Largest request head (request line + headers) the server will read.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
+
+/// Longest a read of the request head or a write of the response may
+/// wait on the client. A client that connects and sends nothing holds a
+/// worker this long, not forever.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// One figure's latency: power-of-two buckets plus the sum, rendered in
 /// Prometheus text exposition format.
@@ -132,6 +142,16 @@ impl Metrics {
             "itpx_sims_executed",
             "Simulations executed by this process.",
             campaign.executed(),
+        );
+        counter(
+            "itpx_layouts_built",
+            "Generator layouts built by this process.",
+            TraceGenerator::layouts_built(),
+        );
+        counter(
+            "itpx_layout_prefetch_hits",
+            "Generators that took a layout built ahead on an idle core.",
+            TraceGenerator::layout_prefetch_hits(),
         );
         out.push_str(&format!(
             "# HELP itpx_http_queue_depth Connections waiting for a worker.\n\
@@ -235,9 +255,22 @@ pub fn start(addr: &str, campaign: Arc<Campaign>, workers: usize) -> std::io::Re
 
 /// Reads the request head, routes it, writes one response, closes.
 fn handle_connection(mut stream: TcpStream, campaign: &Campaign, metrics: &Metrics) {
-    let Some((method, target)) = read_request_head(&mut stream) else {
-        respond(&mut stream, 400, "bad request\n");
+    let timeouts = stream
+        .set_read_timeout(Some(IO_TIMEOUT))
+        .and_then(|()| stream.set_write_timeout(Some(IO_TIMEOUT)));
+    if timeouts.is_err() {
         return;
+    }
+    let (method, target) = match read_request_head(&mut stream) {
+        Ok(head) => head,
+        Err(status) => {
+            let body = match status {
+                408 => "request head timed out\n",
+                _ => "bad request\n",
+            };
+            respond(&mut stream, status, body);
+            return;
+        }
     };
     metrics.requests_total.fetch_add(1, Ordering::Relaxed);
     if method != "GET" {
@@ -253,22 +286,26 @@ fn handle_connection(mut stream: TcpStream, campaign: &Campaign, metrics: &Metri
 }
 
 /// Parses `GET /path?query HTTP/1.1` plus headers (discarded), bounded
-/// by [`MAX_REQUEST_BYTES`].
-fn read_request_head(stream: &mut TcpStream) -> Option<(String, String)> {
+/// by [`MAX_REQUEST_BYTES`]. Fails with the status to answer: 408 when
+/// the client went silent for [`IO_TIMEOUT`], 400 for a malformed head.
+fn read_request_head(stream: &mut TcpStream) -> Result<(String, String), u16> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
     while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < MAX_REQUEST_BYTES {
         match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) if n > 0 => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Err(408)
+            }
+            _ => break,
         }
     }
     let head = String::from_utf8_lossy(&buf);
-    let request_line = head.lines().next()?;
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next()?.to_string();
-    let target = parts.next()?.to_string();
-    Some((method, target))
+    let mut parts = head.lines().next().unwrap_or_default().split_whitespace();
+    match (parts.next(), parts.next()) {
+        (Some(method), Some(target)) => Ok((method.to_string(), target.to_string())),
+        _ => Err(400),
+    }
 }
 
 /// Dispatches one parsed request to a route handler.
@@ -449,6 +486,7 @@ fn respond(stream: &mut TcpStream, status: u16, body: &str) {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         _ => "Internal Server Error",
     };
     let response = format!(

@@ -6,6 +6,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn tiny_scale() -> RunScale {
     RunScale {
@@ -104,6 +105,14 @@ fn server_serves_figures_sims_and_metrics() {
     assert!(metrics.contains("itpx_store_hits"), "metrics: {metrics}");
     assert!(metrics.contains("itpx_store_misses"), "metrics: {metrics}");
     assert!(
+        metrics.contains("itpx_layouts_built "),
+        "metrics: {metrics}"
+    );
+    assert!(
+        metrics.contains("itpx_layout_prefetch_hits "),
+        "metrics: {metrics}"
+    );
+    assert!(
         metrics.contains("itpx_http_queue_depth"),
         "metrics: {metrics}"
     );
@@ -127,4 +136,34 @@ fn server_serves_figures_sims_and_metrics() {
 
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A client that connects and sends nothing holds the only worker until
+/// the server's read timeout, then gets a 408 and no route; a second
+/// client waiting behind it is served after that.
+#[test]
+fn a_silent_client_does_not_stall_a_one_worker_server() {
+    let campaign = Arc::new(Campaign::new(tiny_scale(), SimCache::new(None)));
+    let server = serve::start("127.0.0.1:0", campaign, 1).expect("bind");
+    let mut silent = TcpStream::connect(server.addr()).expect("connect");
+    let mut client = TcpStream::connect(server.addr()).expect("connect");
+    // Far above the server's timeout: a stalled server fails the test
+    // instead of hanging it.
+    let patience = Some(Duration::from_secs(30));
+    for stream in [&silent, &client] {
+        stream.set_read_timeout(patience).expect("client timeout");
+    }
+    client
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: itpx\r\n\r\n")
+        .expect("send");
+    let mut response = String::new();
+    client
+        .read_to_string(&mut response)
+        .expect("the second client was never answered");
+    assert!(response.starts_with("HTTP/1.1 200"), "got: {response}");
+    assert!(response.ends_with("\r\n\r\nok\n"), "got: {response}");
+    let mut response = String::new();
+    silent.read_to_string(&mut response).expect("read");
+    assert!(response.starts_with("HTTP/1.1 408"), "got: {response}");
+    server.stop();
 }

@@ -18,7 +18,8 @@ const RING_FN_MIN: u64 = 16;
 const RING_FN_MAX: u64 = 48;
 use crate::record::{Branch, MemRef, TraceInst};
 use itpx_types::Rng64;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Samples ranks from a Zipf distribution via an explicit CDF.
 ///
@@ -206,22 +207,43 @@ impl LayoutKey {
 /// is the one both are working through. Two entries would also serve
 /// SMT pairs, but on `campaign-serve` they raised peak RSS by 16% and
 /// gained less `sim_ips` than one.
+///
+/// A prefetch does not count against this: it has a slot of its own
+/// (see [`TraceGenerator::prefetch`]), so callers that never prefetch
+/// keep one layout, and a prefetch never evicts a layout a generator
+/// has taken.
 const LAYOUT_MEMO_CAPACITY: usize = 1;
 
 /// A built layout and the execution RNG state right after its draws.
 type BuiltLayout = (Arc<Layout>, Rng64);
 
-/// A bounded memo of built layouts, most recently used last.
+/// A memo entry: built at most once, by whoever reaches it first.
+type LayoutCell = Arc<OnceLock<BuiltLayout>>;
+
+/// A bounded memo of built layouts, plus one slot for a layout built
+/// ahead of the generator that will take it.
 ///
 /// A miss evicts before it builds, so the memo never holds more than
-/// [`LAYOUT_MEMO_CAPACITY`] layouts beyond the ones running generators
-/// hold. The lock only guards the entry list: a build runs outside it,
-/// in the entry's `OnceLock`, so different keys build in parallel and a
-/// second caller of an in-flight key waits for that build instead of
-/// repeating it.
+/// [`LAYOUT_MEMO_CAPACITY`] taken layouts and one prefetched layout
+/// beyond the ones running generators hold. The lock only guards the
+/// entry lists: a build runs outside it, in the entry's `OnceLock`, so
+/// different keys build in parallel and a second caller of an in-flight
+/// key waits for that build instead of repeating it.
 #[derive(Debug)]
 struct LayoutMemo {
-    entries: Mutex<Vec<(LayoutKey, Arc<OnceLock<BuiltLayout>>)>>,
+    entries: Mutex<MemoEntries>,
+    /// Layouts this memo built.
+    builds: AtomicU64,
+    /// `get`s that took a prefetched layout.
+    prefetch_hits: AtomicU64,
+}
+
+#[derive(Debug)]
+struct MemoEntries {
+    /// Layouts generators have taken, most recently used last.
+    taken: Vec<(LayoutKey, LayoutCell)>,
+    /// A prefetched layout no generator has taken yet.
+    prefetched: Option<(LayoutKey, LayoutCell)>,
 }
 
 /// The process-wide memo behind [`TraceGenerator::new`].
@@ -230,32 +252,90 @@ static LAYOUTS: LayoutMemo = LayoutMemo::new();
 impl LayoutMemo {
     const fn new() -> Self {
         Self {
-            entries: Mutex::new(Vec::new()),
+            entries: Mutex::new(MemoEntries {
+                taken: Vec::new(),
+                prefetched: None,
+            }),
+            builds: AtomicU64::new(0),
+            prefetch_hits: AtomicU64::new(0),
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, MemoEntries> {
+        // Every update leaves a valid memo, so a poisoned lock is safe to
+        // recover.
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// `spec`'s layout and post-layout RNG, built at most once while its
-    /// entry lives.
+    /// entry lives. A prefetched layout moves to the taken list.
     fn get(&self, spec: &WorkloadSpec) -> BuiltLayout {
         let key = LayoutKey::of(spec);
         let cell = {
-            // Every update leaves a valid memo, so a poisoned lock is safe
-            // to recover.
-            let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-            let cell = match entries.iter().position(|(k, _)| *k == key) {
-                Some(i) => entries.remove(i).1,
+            let mut entries = self.lock();
+            let cell = match entries.taken.iter().position(|(k, _)| *k == key) {
+                Some(i) => entries.taken.remove(i).1,
                 None => {
-                    if entries.len() == LAYOUT_MEMO_CAPACITY {
-                        entries.remove(0);
+                    if entries.taken.len() == LAYOUT_MEMO_CAPACITY {
+                        entries.taken.remove(0);
                     }
-                    Arc::new(OnceLock::new())
+                    match entries.prefetched.take_if(|(k, _)| *k == key) {
+                        Some((_, cell)) => {
+                            self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
+                            cell
+                        }
+                        None => Arc::new(OnceLock::new()),
+                    }
                 }
             };
-            entries.push((key, Arc::clone(&cell)));
+            entries.taken.push((key, Arc::clone(&cell)));
             cell
         };
-        let (layout, rng) = cell.get_or_init(|| TraceGenerator::build_layout(spec));
+        let (layout, rng) = self.build(&cell, spec);
         (Arc::clone(layout), rng.clone())
+    }
+
+    /// Builds `spec`'s layout into the prefetch slot, unless the memo
+    /// already holds it or the slot holds a layout not yet taken.
+    fn prefetch(&self, spec: &WorkloadSpec) -> Option<PrefetchedLayout<'_>> {
+        let key = LayoutKey::of(spec);
+        let cell = {
+            let mut entries = self.lock();
+            if entries.prefetched.is_some() || entries.taken.iter().any(|(k, _)| *k == key) {
+                return None;
+            }
+            let cell: LayoutCell = Arc::new(OnceLock::new());
+            entries.prefetched = Some((key, Arc::clone(&cell)));
+            cell
+        };
+        self.build(&cell, spec);
+        Some(PrefetchedLayout { memo: self, cell })
+    }
+
+    fn build<'c>(&self, cell: &'c LayoutCell, spec: &WorkloadSpec) -> &'c BuiltLayout {
+        cell.get_or_init(|| {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            TraceGenerator::build_layout(spec)
+        })
+    }
+}
+
+/// A layout [`TraceGenerator::prefetch`] built. Dropping it withdraws
+/// the layout from the prefetch slot if no generator has taken it, so a
+/// prefetch whose run never came does not block the next one.
+#[derive(Debug)]
+#[must_use = "dropping the handle withdraws a layout no generator took"]
+pub struct PrefetchedLayout<'m> {
+    memo: &'m LayoutMemo,
+    cell: LayoutCell,
+}
+
+impl Drop for PrefetchedLayout<'_> {
+    fn drop(&mut self) {
+        let mut entries = self.memo.lock();
+        entries
+            .prefetched
+            .take_if(|(_, cell)| Arc::ptr_eq(cell, &self.cell));
     }
 }
 
@@ -290,6 +370,31 @@ impl TraceGenerator {
         spec.profile.validate();
         let (layout, rng) = LAYOUTS.get(spec);
         Self::start(layout, spec.profile, rng)
+    }
+
+    /// Builds `spec`'s layout on the calling thread into the memo's
+    /// prefetch slot, so the next [`TraceGenerator::new`] for `spec`
+    /// takes it (or waits for it, while it is still building) instead of
+    /// building it. A thread that would otherwise idle calls this ahead
+    /// of the run that needs the layout.
+    ///
+    /// Returns `None`, building nothing, when the memo already holds
+    /// `spec`'s layout or the slot holds a layout no generator has taken
+    /// yet: a prefetch never evicts a layout a run still needs. Panics
+    /// on an invalid profile, like [`TraceGenerator::new`].
+    pub fn prefetch(spec: &WorkloadSpec) -> Option<PrefetchedLayout<'static>> {
+        spec.profile.validate();
+        LAYOUTS.prefetch(spec)
+    }
+
+    /// Layouts the process-wide memo has built so far.
+    pub fn layouts_built() -> u64 {
+        LAYOUTS.builds.load(Ordering::Relaxed)
+    }
+
+    /// Generators so far that took a prefetched layout.
+    pub fn layout_prefetch_hits() -> u64 {
+        LAYOUTS.prefetch_hits.load(Ordering::Relaxed)
     }
 
     /// Builds `spec`'s layout afresh, with the execution RNG in the state
@@ -801,7 +906,87 @@ mod tests {
         }
         let (again, _) = memo.get(&specs[0]);
         assert!(!Arc::ptr_eq(&layout, &again), "first spec was not evicted");
-        assert_eq!(memo.entries.lock().unwrap().len(), LAYOUT_MEMO_CAPACITY);
+        // A memo that never prefetches holds one layout, however many
+        // distinct specs went through it.
+        for spec in &specs {
+            memo.get(spec);
+        }
+        let entries = memo.lock();
+        assert_eq!(entries.taken.len(), LAYOUT_MEMO_CAPACITY);
+        assert!(entries.prefetched.is_none());
+    }
+
+    /// Whether the memo's prefetch slot is empty.
+    fn slot_is_empty(memo: &LayoutMemo) -> bool {
+        memo.lock().prefetched.is_none()
+    }
+
+    #[test]
+    fn a_prefetch_between_two_gets_of_a_builds_each_layout_once() {
+        let memo = LayoutMemo::new();
+        let specs = memo_specs();
+        let (a, b) = (&specs[0], &specs[1]);
+        let (first_a, _) = memo.get(a);
+        let prefetched = memo.prefetch(b).expect("slot was empty");
+        let (again_a, _) = memo.get(a);
+        assert!(Arc::ptr_eq(&first_a, &again_a), "the prefetch evicted a");
+        let (got_b, _) = memo.get(b);
+        let built_b = &prefetched.cell.get().expect("prefetch built b").0;
+        assert!(Arc::ptr_eq(&got_b, built_b), "b was rebuilt");
+        assert_eq!(memo.builds.load(Ordering::Relaxed), 2);
+        assert_eq!(memo.prefetch_hits.load(Ordering::Relaxed), 1);
+        // Taken: dropping the handle leaves b to the memo.
+        drop(prefetched);
+        let (b_again, _) = memo.get(b);
+        assert!(Arc::ptr_eq(&got_b, &b_again));
+        assert_eq!(memo.builds.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn a_prefetch_never_displaces_a_layout_not_yet_taken() {
+        let memo = LayoutMemo::new();
+        let specs = memo_specs();
+        let (a, b) = (&specs[0], &specs[1]);
+        let prefetched_a = memo.prefetch(a).expect("slot was empty");
+        assert!(memo.prefetch(b).is_none(), "b displaced the untaken a");
+        assert!(memo.prefetch(a).is_none(), "a prefetched twice");
+        let (got_a, _) = memo.get(a);
+        let built_a = &prefetched_a.cell.get().expect("prefetch built a").0;
+        assert!(Arc::ptr_eq(&got_a, built_a), "a was rebuilt");
+        assert_eq!(memo.builds.load(Ordering::Relaxed), 1);
+        // A taken layout is not prefetched again; the slot is free for b.
+        assert!(memo.prefetch(a).is_none());
+        assert!(slot_is_empty(&memo));
+        let prefetched_b = memo.prefetch(b).expect("slot was free");
+        assert_eq!(memo.builds.load(Ordering::Relaxed), 2);
+        // b's run never came: dropping the handle withdraws it.
+        drop(prefetched_b);
+        assert!(slot_is_empty(&memo));
+        drop(prefetched_a);
+        assert_eq!(memo.lock().taken.len(), LAYOUT_MEMO_CAPACITY);
+    }
+
+    #[test]
+    fn a_prefetched_generator_streams_like_a_fresh_build() {
+        let memo = LayoutMemo::new();
+        for spec in memo_specs() {
+            let prefetched = memo.prefetch(&spec).expect("slot was free");
+            let (layout, rng) = memo.get(&spec);
+            drop(prefetched);
+            let hit = TraceGenerator::start(layout, spec.profile, rng);
+            for salt in [0, 1, u64::MAX] {
+                assert_eq!(
+                    first(hit.phase_fork(salt)),
+                    first(fresh(&spec).phase_fork(salt)),
+                    "{} salt {salt}",
+                    spec.name
+                );
+            }
+            assert_eq!(first(hit), first(fresh(&spec)), "{}", spec.name);
+        }
+        let n = memo_specs().len() as u64;
+        assert_eq!(memo.prefetch_hits.load(Ordering::Relaxed), n);
+        assert_eq!(memo.builds.load(Ordering::Relaxed), n);
     }
 
     #[test]

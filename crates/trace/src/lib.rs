@@ -36,7 +36,7 @@ pub mod suites;
 pub use analysis::{mix_summary, page_reuse_profiles, MixSummary, ReuseProfile};
 pub use champsim::{read_champsim, ChampSimConverter, ChampSimRecord};
 pub use fuzz::{FuzzPattern, FuzzSpec};
-pub use gen::{TraceGenerator, ZipfSampler};
+pub use gen::{PrefetchedLayout, TraceGenerator, ZipfSampler};
 pub use oracle::{replay_min_and_lru, tlb_key_streams, OracleResult};
 pub use profile::{
     ContextSchedule, Profile, SmtCategory, SmtPairSpec, SwitchPolicy, TierSchedule, WorkloadSpec,
