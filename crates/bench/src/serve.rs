@@ -3,7 +3,9 @@
 //!
 //! The workspace is offline, so this is a hand-rolled server on
 //! [`std::net::TcpListener`] — one accept thread feeding a small worker
-//! pool over an mpsc channel. Warm requests are answered straight from
+//! pool over a bounded queue of [`MAX_QUEUED_CONNECTIONS`]; a connection
+//! arriving while it is full gets a 503 from the accept thread and is
+//! counted on `/metrics`. Warm requests are answered straight from
 //! the segmented store; cold ones are scheduled onto the campaign's
 //! runner pool and cached for every later caller.
 //!
@@ -18,7 +20,7 @@
 //!   campaign scale's run lengths (together at most
 //!   `MAX_SIM_INSTRUCTIONS`).
 //! * `/metrics` — Prometheus-style text: store hits/misses, queue
-//!   depth, request totals, generator layout builds and prefetch hits,
+//!   depth and rejections, request totals, generator layout builds and prefetch hits,
 //!   per-figure latency histograms.
 //!
 //! A connection that sends no byte of its request head, or takes none of
@@ -38,7 +40,8 @@ use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{self, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Buckets of the per-figure latency histogram. Bucket `i` holds
@@ -54,6 +57,12 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 /// wait on the client. A client that connects and sends nothing holds a
 /// worker this long, not forever.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Connections accepted but not yet taken by a worker, at most. Far above
+/// any worker count, so closed-loop clients never meet the bound; a
+/// connection flood beyond it is answered 503 instead of queuing without
+/// limit.
+pub const MAX_QUEUED_CONNECTIONS: usize = 64;
 
 /// One figure's latency: power-of-two buckets plus the sum, rendered in
 /// Prometheus text exposition format.
@@ -102,6 +111,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 struct Metrics {
     requests_total: AtomicU64,
     queue_depth: AtomicU64,
+    rejected_total: AtomicU64,
     figure_latency: Mutex<BTreeMap<&'static str, FigureLatency>>,
 }
 
@@ -127,6 +137,11 @@ impl Metrics {
             "itpx_http_requests_total",
             "HTTP requests handled.",
             self.requests_total.load(Ordering::Relaxed),
+        );
+        counter(
+            "itpx_http_rejected_total",
+            "Connections answered 503 because the queue was full.",
+            self.rejected_total.load(Ordering::Relaxed),
         );
         counter(
             "itpx_store_hits",
@@ -218,7 +233,7 @@ pub fn start(addr: &str, campaign: Arc<Campaign>, workers: usize) -> std::io::Re
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let metrics = Arc::new(Metrics::default());
-    let (tx, rx) = mpsc::channel::<TcpStream>();
+    let (tx, rx) = mpsc::sync_channel::<TcpStream>(MAX_QUEUED_CONNECTIONS);
     let rx = Arc::new(Mutex::new(rx));
     for _ in 0..workers.max(1) {
         let rx = Arc::clone(&rx);
@@ -237,11 +252,19 @@ pub fn start(addr: &str, campaign: Arc<Campaign>, workers: usize) -> std::io::Re
             if accept_stop.load(Ordering::SeqCst) {
                 break;
             }
-            if let Ok(stream) = conn {
-                metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
-                if tx.send(stream).is_err() {
-                    break;
+            let Ok(stream) = conn else { continue };
+            metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
+            match tx.try_send(stream) {
+                Ok(()) => {}
+                Err(TrySendError::Full(mut stream)) => {
+                    metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                    metrics.rejected_total.fetch_add(1, Ordering::Relaxed);
+                    // A fresh socket's send buffer holds the short answer,
+                    // so this write does not wait on the client.
+                    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+                    respond(&mut stream, 503, "server busy\n");
                 }
+                Err(TrySendError::Disconnected(_)) => break,
             }
         }
         // Dropping `tx` unblocks every worker's recv().
@@ -487,6 +510,7 @@ fn respond(stream: &mut TcpStream, status: u16, body: &str) {
         404 => "Not Found",
         405 => "Method Not Allowed",
         408 => "Request Timeout",
+        503 => "Service Unavailable",
         _ => "Internal Server Error",
     };
     let response = format!(

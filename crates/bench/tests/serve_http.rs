@@ -6,7 +6,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tiny_scale() -> RunScale {
     RunScale {
@@ -117,6 +117,10 @@ fn server_serves_figures_sims_and_metrics() {
         "metrics: {metrics}"
     );
     assert!(
+        metrics.contains("itpx_http_rejected_total 0\n"),
+        "metrics: {metrics}"
+    );
+    assert!(
         metrics.contains("itpx_figure_latency_ms_bucket{figure=\"fig02\""),
         "fig02 latency histogram missing: {metrics}"
     );
@@ -165,5 +169,61 @@ fn a_silent_client_does_not_stall_a_one_worker_server() {
     let mut response = String::new();
     silent.read_to_string(&mut response).expect("read");
     assert!(response.starts_with("HTTP/1.1 408"), "got: {response}");
+    server.stop();
+}
+
+/// A one-worker server facing more silent connections than its worker
+/// and its queue can hold answers the overflow 503 at once, rather than
+/// queuing it behind clients that may each hold the worker for the read
+/// timeout (2 s), and counts the rejection on `/metrics`. The worker takes
+/// at most the first connection before the queue fills, so of
+/// `MAX_QUEUED_CONNECTIONS + 2` connections at least one is over.
+#[test]
+fn a_full_connection_queue_answers_503_at_once() {
+    let campaign = Arc::new(Campaign::new(tiny_scale(), SimCache::new(None)));
+    let server = serve::start("127.0.0.1:0", campaign, 1).expect("bind");
+    let addr = server.addr();
+    let started = Instant::now();
+    let clients: Vec<TcpStream> = (0..serve::MAX_QUEUED_CONNECTIONS + 2)
+        .map(|_| {
+            let c = TcpStream::connect(addr).expect("connect");
+            c.set_nonblocking(true).expect("non-blocking client");
+            c
+        })
+        .collect();
+    // Nothing sends a byte, so within the read timeout only a rejection
+    // can put data on any of these sockets.
+    let answered = loop {
+        let mut byte = [0u8; 1];
+        if let Some(c) = clients
+            .iter()
+            .find(|c| c.peek(&mut byte).is_ok_and(|n| n > 0))
+        {
+            break c;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "no connection beyond the queue was answered within 1 s"
+        );
+        std::thread::yield_now();
+    };
+    answered.set_nonblocking(false).expect("blocking client");
+    let mut response = String::new();
+    (&*answered)
+        .read_to_string(&mut response)
+        .expect("read the rejection");
+    assert!(response.starts_with("HTTP/1.1 503"), "got: {response}");
+    // Closed clients drain from the queue at once; /metrics queues behind
+    // them.
+    drop(clients);
+    let (status, metrics) = get(addr, "/metrics");
+    assert_eq!(status, 200);
+    let rejected: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("itpx_http_rejected_total "))
+        .expect("rejection counter")
+        .parse()
+        .expect("numeric counter");
+    assert!(rejected >= 1, "metrics: {metrics}");
     server.stop();
 }

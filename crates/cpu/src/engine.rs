@@ -34,9 +34,7 @@ use itpx_trace::{
     ContextSchedule, InstructionStream, Supply, SupplyStream, SwitchPolicy, TierSchedule,
     TraceGenerator, TraceInst, WorkloadSource, WorkloadSpec,
 };
-use itpx_types::{
-    Asid, Cycle, LevelId, PageSize, ResetBoundary, ThreadId, TranslationKind, VirtAddr,
-};
+use itpx_types::{Asid, Cycle, LevelId, PageSize, ThreadId, TranslationKind, VirtAddr};
 use std::collections::VecDeque;
 
 /// Ring size for dependency tracking (dep distances are `u8`).
@@ -357,13 +355,11 @@ impl ThreadPipe {
         };
         self.stream.mount(draws);
     }
-}
 
-impl ResetBoundary for ThreadPipe {
     /// The per-thread half of a measurement boundary: zero the measured
     /// counters and pin the measurement clock to the retire frontier.
     /// Pipeline state (FTQ, predictor, recency of everything) is kept.
-    fn reset_boundary(&mut self) {
+    fn reset_stats(&mut self) {
         self.meas_start_cycle = self.last_retire;
         self.itrans_stall = 0;
         self.mispredicts = 0;
@@ -630,12 +626,13 @@ impl Engine {
     }
 
     /// The warmup → measurement boundary: statistics reset everywhere,
-    /// warm contents kept (one [`ResetBoundary`] cascade instead of the
-    /// three hand-rolled resets this consolidates).
+    /// warm contents kept. The machine's half iterates its own
+    /// structures (see [`System::reset_stats`]); each thread resets its
+    /// own counters and measurement clock.
     fn measurement_boundary(&mut self) {
-        self.system.reset_boundary();
+        self.system.reset_stats();
         for t in &mut self.threads {
-            t.reset_boundary();
+            t.reset_stats();
         }
     }
 

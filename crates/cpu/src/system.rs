@@ -6,7 +6,7 @@ use itpx_core::presets::PolicyBundle;
 use itpx_core::StlbPressureMonitor;
 use itpx_mem::{Hierarchy, HierarchyPolicies};
 use itpx_policy::Lru;
-use itpx_types::{Asid, Cycle, PhysAddr, ResetBoundary, ThreadId, TranslationKind, VirtAddr};
+use itpx_types::{Asid, Cycle, PhysAddr, ThreadId, TranslationKind, VirtAddr};
 use itpx_vm::address_space::AddressSpace;
 use itpx_vm::path::TranslationPath;
 use itpx_vm::psc::SplitPscs;
@@ -274,15 +274,6 @@ impl System {
     pub fn reset_stats(&mut self) {
         self.path.reset_stats();
         self.hierarchy.reset_stats();
-    }
-}
-
-impl ResetBoundary for System {
-    /// A measurement boundary for the whole machine: statistics reset,
-    /// warm contents kept (delegates to both halves' boundaries).
-    fn reset_boundary(&mut self) {
-        self.path.reset_boundary();
-        self.hierarchy.reset_boundary();
     }
 }
 

@@ -13,7 +13,7 @@ use itpx_core::Preset;
 use itpx_cpu::{Simulation, System, SystemConfig};
 use itpx_mem::HierarchyConfig;
 use itpx_trace::{TierSchedule, WorkloadSpec};
-use itpx_types::{ResetBoundary, ThreadId, TranslationKind, VirtAddr};
+use itpx_types::{ThreadId, TranslationKind, VirtAddr};
 
 /// Drives enough varied traffic through the machine that every counter
 /// class is nonzero: TLB accesses and misses, walks, cache accesses and
@@ -98,17 +98,6 @@ fn reset_covers_shallow_and_deep_chains() {
         s.reset_stats();
         assert_all_counters_zero(&s);
     }
-}
-
-/// The [`ResetBoundary`] trait (which the engine's measurement boundary
-/// now cascades through) must cover exactly what `reset_stats` covers.
-#[test]
-fn reset_boundary_trait_covers_the_whole_system() {
-    let mut s = system_with(HierarchyConfig::asplos25());
-    warm_up(&mut s);
-    assert!(s.itlb().stats().misses() > 0);
-    s.reset_boundary();
-    assert_all_counters_zero(&s);
 }
 
 /// The boundary contract extends to the tiered path: fast-forward

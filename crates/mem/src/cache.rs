@@ -1,9 +1,9 @@
 //! One set-associative cache level with pluggable replacement and
 //! MSHR-aware fill timing.
 
-use itpx_policy::{CacheMeta, CachePolicyEngine, Policy};
+use itpx_policy::{CacheMeta, CachePolicyEngine, Policy, SetAssoc};
 use itpx_types::fingerprint::{Fingerprint, Fnv1a};
-use itpx_types::{Cycle, FillClass, ResetBoundary, SetMask, StructStats};
+use itpx_types::{Cycle, FillClass, StructStats};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -98,24 +98,14 @@ pub struct Writeback {
 
 /// One set-associative cache level.
 ///
-/// Tag storage is a single flat slice indexed by `set * ways + way`, with
-/// per-set validity bitmasks — the probe/fill loops below are the
-/// simulator's most-executed code, and the flat layout removes the
-/// per-access double indirection (and per-way `Option` discriminant) of
-/// nested per-set vectors of `Option<Line>`.
+/// Tag storage is a [`SetAssoc`]: one flat slab with per-set validity
+/// bitmasks — the probe/fill paths below are the simulator's
+/// most-executed code, and the flat layout keeps them to one indirection
+/// with no per-way `Option` discriminant.
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// `sets * ways` line slots; a slot's content is meaningful only when
-    /// the corresponding bit of `valid` is set.
-    lines: Box<[Line]>,
-    /// Per-set validity bitmask (bit `w` ⇔ way `w` holds a line).
-    valid: Box<[u64]>,
-    /// `ways` low bits set: the mask of a fully occupied set.
-    full_mask: u64,
-    /// Power-of-two set selection, precomputed from the validated
-    /// geometry: one AND per access instead of a `%` division.
-    set_mask: SetMask,
+    lines: SetAssoc<Line>,
     /// Enum-dispatched so the per-access `on_hit`/`victim`/`on_fill`
     /// calls inline instead of going through a vtable.
     policy: CachePolicyEngine,
@@ -142,9 +132,8 @@ impl Cache {
     ///
     /// Panics if [`CacheConfig::validate`] rejects the geometry.
     pub fn new(cfg: CacheConfig, policy: impl Into<CachePolicyEngine>) -> Self {
-        let policy = policy.into();
         cfg.validate();
-        let placeholder = Line {
+        let empty = Line {
             block: 0,
             ready: 0,
             dirty: false,
@@ -152,12 +141,8 @@ impl Cache {
             fill: FillClass::DataPayload,
         };
         Self {
-            lines: vec![placeholder; cfg.sets * cfg.ways].into_boxed_slice(),
-            valid: vec![0; cfg.sets].into_boxed_slice(),
-            full_mask: u64::MAX >> (64 - cfg.ways as u32),
-            // validate() enforced power-of-two sets just above.
-            set_mask: SetMask::new(cfg.sets),
-            policy,
+            lines: SetAssoc::new(cfg.sets, cfg.ways, empty),
+            policy: policy.into(),
             stats: StructStats::new(),
             inflight: BinaryHeap::with_capacity(cfg.mshr_entries),
             prefetch_issued: 0,
@@ -183,11 +168,6 @@ impl Cache {
         &self.stats
     }
 
-    /// Name of the replacement policy in use.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Number of dirty blocks displaced so far.
     pub fn writebacks(&self) -> u64 {
         self.writebacks
@@ -208,53 +188,15 @@ impl Cache {
         self.prefetch_useful
     }
 
-    fn set_of(&self, block: u64) -> usize {
-        self.set_mask.set_of(block)
-    }
-
-    /// The flat-slice index of `(set, way)`.
-    fn slot(&self, set: usize, way: usize) -> usize {
-        set * self.cfg.ways + way
-    }
-
-    /// First valid way in `set` holding `block`, if any. Ways are scanned
-    /// in ascending order (bit order of the validity mask), matching the
-    /// nested-storage scan.
-    fn find_way(&self, set: usize, block: u64) -> Option<usize> {
-        let mut mask = self.valid[set];
-        while mask != 0 {
-            let way = mask.trailing_zeros() as usize;
-            // way < cfg.ways because only the low `ways` mask bits are set
-            if self.lines[self.slot(set, way)].block == block {
-                return Some(way);
-            }
-            mask &= mask - 1;
-        }
-        None
-    }
-
-    /// Lowest invalid way in `set`, if the set is not full.
-    fn first_free_way(&self, set: usize) -> Option<usize> {
-        let free = !self.valid[set] & self.full_mask;
-        if free == 0 {
-            None
-        } else {
-            Some(free.trailing_zeros() as usize)
-        }
-    }
-
     /// Probes for `meta.block` at `now`. `demand` controls whether the
     /// access is recorded in the demand statistics (prefetch and writeback
     /// probes are not).
     pub fn probe(&mut self, meta: &CacheMeta, now: Cycle, demand: bool) -> Probe {
-        let set = self.set_of(meta.block);
-        match self.find_way(set, meta.block) {
-            Some(way) => {
-                let slot = self.slot(set, way);
+        let set = self.lines.set_of(meta.block);
+        match self.lines.find_mut(set, |l| l.block == meta.block) {
+            Some((way, line)) => {
                 if demand {
                     self.stats.record(meta.fill, false);
-                    // slot indexes a valid way found above
-                    let line = &mut self.lines[slot];
                     if line.prefetched {
                         // First demand touch of a prefetched block. A
                         // demand PC of u64::MAX leaves the mark set, as
@@ -264,9 +206,8 @@ impl Cache {
                         self.prefetch_useful += 1;
                     }
                 }
+                let ready = line.ready;
                 self.policy.on_hit(set, way, meta);
-                // slot indexes a valid way found above
-                let ready = self.lines[slot].ready;
                 Probe::Hit(ready.max(now + self.cfg.latency))
             }
             None => {
@@ -305,9 +246,9 @@ impl Cache {
         ready: Cycle,
         demand: bool,
     ) -> Option<Writeback> {
-        let set = self.set_of(meta.block);
-        match self.find_way(set, meta.block) {
-            Some(way) => {
+        let set = self.lines.set_of(meta.block);
+        match self.lines.find(set, |l| l.block == meta.block) {
+            Some((way, _)) => {
                 self.record_fill(miss_start, ready, demand);
                 self.policy.on_hit(set, way, meta);
                 None
@@ -326,42 +267,10 @@ impl Cache {
         ready: Cycle,
         demand: bool,
     ) -> Option<Writeback> {
-        let set = self.set_of(meta.block);
-        debug_assert!(
-            self.find_way(set, meta.block).is_none(),
-            "fill_miss of a resident block"
-        );
+        let set = self.lines.set_of(meta.block);
+        debug_assert!(!self.contains(meta.block), "fill_miss of a resident block");
         self.record_fill(miss_start, ready, demand);
-        let (way, wb) = match self.first_free_way(set) {
-            Some(w) => (w, None),
-            None => {
-                let v = self.policy.victim(set, meta);
-                // In-range victims are the policy contract (checked for
-                // every in-tree policy by the CheckedPolicy drives); the
-                // release hot path does not re-check unless the
-                // strict-contracts feature asks for it. An out-of-range
-                // way still cannot corrupt memory — the slot index below
-                // bounds-checks.
-                #[cfg(feature = "strict-contracts")]
-                assert!(v < self.cfg.ways, "policy returned way out of range");
-                #[cfg(not(feature = "strict-contracts"))]
-                debug_assert!(v < self.cfg.ways, "policy returned way out of range");
-                self.policy.on_evict(set, v);
-                self.evictions += 1;
-                // the set had no free way, so every way holds a valid line
-                let victim = self.lines[self.slot(set, v)];
-                let wb = victim.dirty.then(|| {
-                    self.writebacks += 1;
-                    Writeback {
-                        block: victim.block,
-                    }
-                });
-                (v, wb)
-            }
-        };
-        self.valid[set] |= 1 << way;
-        // way came from first_free_way or a range-checked victim
-        self.lines[self.slot(set, way)] = Line {
+        let line = Line {
             block: meta.block,
             ready,
             dirty: false,
@@ -370,8 +279,14 @@ impl Cache {
             prefetched: !demand || meta.pc == u64::MAX,
             fill: meta.fill,
         };
-        self.policy.on_fill(set, way, meta);
-        wb
+        let victim = self.lines.install(&mut self.policy, set, line, meta)?;
+        self.evictions += 1;
+        victim.dirty.then(|| {
+            self.writebacks += 1;
+            Writeback {
+                block: victim.block,
+            }
+        })
     }
 
     /// The bookkeeping every fill does, resident or not: miss latency or
@@ -391,12 +306,10 @@ impl Cache {
     /// and returns whether it was: one set scan serves both the residency
     /// test and the mark.
     pub fn mark_dirty(&mut self, block: u64) -> bool {
-        let set = self.set_of(block);
-        match self.find_way(set, block) {
-            Some(way) => {
-                let slot = self.slot(set, way);
-                // slot indexes a valid way found above
-                self.lines[slot].dirty = true;
+        let set = self.lines.set_of(block);
+        match self.lines.find_mut(set, |l| l.block == block) {
+            Some((_, line)) => {
+                line.dirty = true;
                 true
             }
             None => false,
@@ -415,26 +328,16 @@ impl Cache {
 
     /// Whether `block` is resident.
     pub fn contains(&self, block: u64) -> bool {
-        let set = self.set_of(block);
-        self.find_way(set, block).is_some()
+        let set = self.lines.set_of(block);
+        self.lines.find(set, |l| l.block == block).is_some()
     }
 
     /// Exports every resident line in set order, ways ascending — the
     /// warm-state snapshot handed across a tier boundary. Statistics and
     /// replacement metadata are not touched.
     pub fn export_lines(&self) -> Vec<CacheLineSnapshot> {
-        let mut out = Vec::with_capacity(self.cfg.sets * self.cfg.ways);
-        for set in 0..self.cfg.sets {
-            let mut mask = self.valid[set];
-            while mask != 0 {
-                let way = mask.trailing_zeros() as usize;
-                // way comes from the set's valid mask, so slot(set, way)
-                // is in bounds by construction
-                let line = &self.lines[self.slot(set, way)];
-                out.push((line.block, line.dirty, line.fill));
-                mask &= mask - 1;
-            }
-        }
+        let mut out = Vec::with_capacity(self.lines.capacity());
+        out.extend(self.lines.iter().map(|l| (l.block, l.dirty, l.fill)));
         out
     }
 
@@ -447,51 +350,29 @@ impl Cache {
     /// (e.g. RRPV ages) is reconstructed by the policy's fill hook — a
     /// documented fidelity limit of the handoff.
     pub fn import_lines<I: IntoIterator<Item = CacheLineSnapshot>>(&mut self, lines: I) {
-        for v in self.valid.iter_mut() {
-            *v = 0;
-        }
+        self.lines.clear();
         self.inflight.clear();
-        for (block, dirty, class) in lines {
-            let set = self.set_of(block);
-            if self.find_way(set, block).is_some() {
+        for (block, dirty, fill) in lines {
+            if self.contains(block) {
                 continue;
             }
-            let meta = CacheMeta::demand(block, class);
-            let way = match self.first_free_way(set) {
-                Some(w) => w,
-                None => {
-                    let v = self.policy.victim(set, &meta);
-                    #[cfg(feature = "strict-contracts")]
-                    assert!(v < self.cfg.ways, "policy returned way out of range");
-                    #[cfg(not(feature = "strict-contracts"))]
-                    debug_assert!(v < self.cfg.ways, "policy returned way out of range");
-                    self.policy.on_evict(set, v);
-                    v
-                }
-            };
-            self.valid[set] |= 1 << way;
-            // way is a free slot or a checked victim (< ways), so
-            // slot(set, way) is in bounds
-            self.lines[self.slot(set, way)] = Line {
+            let line = Line {
                 block,
                 ready: 0,
                 dirty,
                 prefetched: false,
-                fill: class,
+                fill,
             };
-            self.policy.on_fill(set, way, &meta);
+            let set = self.lines.set_of(block);
+            let _ =
+                self.lines
+                    .install(&mut self.policy, set, line, &CacheMeta::demand(block, fill));
         }
     }
 
     /// Number of resident lines.
     pub fn resident_count(&self) -> usize {
-        self.valid.iter().map(|v| v.count_ones() as usize).sum()
-    }
-}
-
-impl ResetBoundary for Cache {
-    fn reset_boundary(&mut self) {
-        self.reset_stats();
+        self.lines.len()
     }
 }
 
@@ -749,7 +630,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_boundary_clears_all_counters_keeps_lines() {
+    fn reset_stats_clears_all_counters_keeps_lines() {
         let mut c = cache(1, 2);
         c.fill(&m(1), 0, 0, true);
         c.fill(&m(2), 0, 0, true);
@@ -757,7 +638,7 @@ mod tests {
         c.fill(&m(3), 0, 0, true); // evicts dirty block 1
         c.fill(&m(7), 0, 10, false); // prefetch
         assert!(c.writebacks() > 0 && c.evictions() > 0 && c.prefetches_issued() > 0);
-        c.reset_boundary();
+        c.reset_stats();
         assert_eq!(c.stats().accesses(), 0);
         assert_eq!(c.writebacks(), 0);
         assert_eq!(c.evictions(), 0);

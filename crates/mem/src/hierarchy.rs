@@ -29,9 +29,7 @@ use crate::dram::{Dram, DramConfig};
 use crate::prefetch::{NextLinePrefetcher, StridePrefetcher};
 use itpx_policy::{CacheMeta, CachePolicyEngine, Lru};
 use itpx_types::fingerprint::{Fingerprint, Fnv1a};
-use itpx_types::{
-    Cycle, FillClass, LevelId, PhysAddr, ResetBoundary, StructStats, ThreadId, TranslationKind,
-};
+use itpx_types::{Cycle, FillClass, LevelId, PhysAddr, StructStats, ThreadId, TranslationKind};
 
 /// Maximum number of shared levels (L2C and below) a chain can have.
 pub const MAX_SHARED_LEVELS: usize = 3;
@@ -563,15 +561,6 @@ impl Hierarchy {
         self.levels.iter().find(|l| l.id == id).map(|l| &l.cache)
     }
 
-    /// Mutable cache at level `id`, if this chain has one (warm-state
-    /// handoff).
-    pub fn cache_mut(&mut self, id: LevelId) -> Option<&mut Cache> {
-        self.levels
-            .iter_mut()
-            .find(|l| l.id == id)
-            .map(|l| &mut l.cache)
-    }
-
     /// Iterates the chain's levels mutably (warm-state handoff imports).
     pub fn levels_mut(&mut self) -> impl Iterator<Item = (LevelId, &mut Cache)> + '_ {
         self.levels.iter_mut().map(|l| (l.id, &mut l.cache))
@@ -635,18 +624,6 @@ impl Hierarchy {
         }
         self.dram.reset_stats();
         self.wb_absorbed = 0;
-    }
-}
-
-impl ResetBoundary for LevelHooks {
-    fn reset_boundary(&mut self) {
-        self.reset_stats();
-    }
-}
-
-impl ResetBoundary for Hierarchy {
-    fn reset_boundary(&mut self) {
-        self.reset_stats();
     }
 }
 

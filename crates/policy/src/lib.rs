@@ -63,6 +63,7 @@ pub mod ptp;
 pub mod random;
 pub mod recency;
 pub mod rrip;
+pub mod set_assoc;
 pub mod ship;
 pub mod traits;
 pub mod xptp;
@@ -82,6 +83,7 @@ pub use ptp::Ptp;
 pub use random::RandomEvict;
 pub use recency::RecencyStack;
 pub use rrip::{Brrip, Drrip, Srrip};
+pub use set_assoc::SetAssoc;
 pub use ship::Ship;
 pub use traits::{CachePolicy, Policy, TlbPolicy};
 pub use xptp::{Xptp, XptpParams};

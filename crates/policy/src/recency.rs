@@ -90,12 +90,6 @@ impl RecencyStack {
         self.order.row(set)[0] as usize
     }
 
-    /// The way at the given depth.
-    pub fn at_depth(&self, set: usize, depth: usize) -> usize {
-        // .min(ways - 1) clamps the depth into the row
-        self.order.row(set)[depth.min(self.ways - 1)] as usize
-    }
-
     /// Moves `way` to `MRUpos` (classic LRU touch).
     pub fn touch(&mut self, set: usize, way: usize) {
         self.place_at_depth(set, way, 0);

@@ -462,11 +462,6 @@ impl TraceGenerator {
         }
     }
 
-    /// Number of functions in the code layout.
-    pub fn function_count(&self) -> usize {
-        self.layout.fn_by_rank.len()
-    }
-
     /// A generator over this generator's code/data layout (the shared
     /// function packing, permutations, ring, and address bands), started
     /// afresh with its execution-phase randomness re-seeded by `salt`.

@@ -50,9 +50,7 @@ pub use hash::{BuildWordHasher, WordHasher};
 pub use mshr::SlotPool;
 pub use page::PageSize;
 pub use rng::Rng64;
-pub use stats::{
-    Histogram, LevelCounts, MpkiBreakdown, OnlineMean, ResetBoundary, StructCounts, StructStats,
-};
+pub use stats::{Histogram, LevelCounts, MpkiBreakdown, OnlineMean, StructCounts, StructStats};
 
 /// Identifier of a hardware thread (SMT context) within a simulated core.
 ///

@@ -5,25 +5,6 @@
 use crate::access::FillClass;
 use crate::LevelId;
 
-/// A structure that participates in a warmup/measurement boundary: it can
-/// clear its *measurement counters* without disturbing its *contents*.
-///
-/// Every stats-bearing structure on the simulated machine implements this
-/// trait, and the engine's boundary reset walks one list of
-/// `&mut dyn ResetBoundary` instead of hand-naming counters — so adding a
-/// counter to a structure cannot silently escape the boundary, and the
-/// tier scheduler resets exactly the same set the flat engine does.
-pub trait ResetBoundary {
-    /// Zeroes measurement counters; warmed contents stay intact.
-    fn reset_boundary(&mut self);
-}
-
-impl ResetBoundary for StructStats {
-    fn reset_boundary(&mut self) {
-        self.reset();
-    }
-}
-
 /// Streaming mean without storing samples.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineMean {
@@ -212,12 +193,6 @@ impl StructStats {
     pub fn misses_of(&self, class: FillClass) -> u64 {
         // stat_index() < 4, the counter arrays' fixed length
         self.misses[class.stat_index()]
-    }
-
-    /// Accesses of one class.
-    pub fn accesses_of(&self, class: FillClass) -> u64 {
-        // stat_index() < 4, the counter arrays' fixed length
-        self.accesses[class.stat_index()]
     }
 
     /// Average miss latency in cycles (0 if no misses recorded).

@@ -93,11 +93,6 @@ impl FrameAllocator {
         // itpx-allow: arith-width scrambled is masked to frame_bits (< 40), so the page shift cannot overflow u64
         PhysAddr::new(self.region_offset + NODE_REGION + (scrambled << PageSize::Base4K.shift()))
     }
-
-    /// Number of base frames handed out so far.
-    pub fn frames_allocated(&self) -> u64 {
-        self.counter
-    }
 }
 
 /// Decides which 2 MiB virtual regions are backed by huge pages
@@ -387,11 +382,6 @@ impl PageTable {
     /// Number of distinct 4 KiB pages mapped so far.
     pub fn mapped_4k_pages(&self) -> usize {
         self.map4k.len()
-    }
-
-    /// Number of distinct 2 MiB pages mapped so far.
-    pub fn mapped_2m_pages(&self) -> usize {
-        self.map2m.len()
     }
 }
 

@@ -19,7 +19,7 @@ use crate::address_space::AddressSpace;
 use crate::psc::SplitPscs;
 use crate::tlb::{LastLevelTlb, Tlb, TlbLookup};
 use crate::walker::{PageWalker, PteMemory};
-use itpx_types::{Asid, Cycle, PhysAddr, ResetBoundary, ThreadId, TranslationKind, VirtAddr};
+use itpx_types::{Asid, Cycle, PhysAddr, ThreadId, TranslationKind, VirtAddr};
 
 /// Result of a full translation: physical address, availability cycle,
 /// and whether the STLB missed (the flag T-DRRIP consumes, Figure 7
@@ -237,12 +237,6 @@ impl TranslationPath {
         self.dtlb.reset_stats();
         self.stlb.reset_stats();
         self.walker.reset_stats();
-    }
-}
-
-impl ResetBoundary for TranslationPath {
-    fn reset_boundary(&mut self) {
-        self.reset_stats();
     }
 }
 

@@ -9,8 +9,8 @@
 //! Functionally the simulator only needs *which level the walk may start
 //! at*: the node addresses themselves are recomputed from the page table.
 
-use itpx_policy::{Lru, Policy, TlbMeta};
-use itpx_types::{Asid, SetGrid, SetMask, TranslationKind};
+use itpx_policy::{Lru, Policy, SetAssoc, TlbMeta};
+use itpx_types::{Asid, TranslationKind};
 
 /// Index bits per page-table level.
 const LEVEL_BITS: u32 = 9;
@@ -41,8 +41,7 @@ pub fn tag_asid(tag: u64, level: u8) -> Asid {
 #[derive(Debug)]
 pub struct PageStructureCache {
     level: u8,
-    set_mask: SetMask,
-    tags: SetGrid<Option<u64>>,
+    tags: SetAssoc<u64>,
     policy: Lru,
 }
 
@@ -51,16 +50,13 @@ impl PageStructureCache {
     ///
     /// # Panics
     ///
-    /// Panics if `level` is not in `2..=5` or the geometry is degenerate.
+    /// Panics if `level` is not in `2..=5`, `sets` is not a power of two,
+    /// or `ways` is zero or exceeds 64.
     pub fn new(level: u8, sets: usize, ways: usize) -> Self {
         assert!((2..=5).contains(&level), "PSC levels are 2..=5");
-        assert!(sets > 0 && ways > 0, "PSC needs sets > 0, ways > 0");
         Self {
             level,
-            // Power-of-two set counts are a construction-time invariant:
-            // every later lookup indexes with a single mask AND.
-            set_mask: SetMask::new(sets),
-            tags: SetGrid::new(sets, ways, None),
+            tags: SetAssoc::new(sets, ways, 0),
             policy: Lru::new(sets, ways),
         }
     }
@@ -76,24 +72,26 @@ impl PageStructureCache {
         vpn4k >> (LEVEL_BITS * (self.level as u32 - 1))
     }
 
-    fn set_of(&self, tag: u64) -> usize {
-        self.set_mask.set_of(tag)
-    }
-
     fn meta(tag: u64) -> TlbMeta {
         TlbMeta::demand(tag, TranslationKind::Data)
+    }
+
+    /// The `(set, way)` holding `tag`, if resident.
+    fn find(&self, tag: u64) -> Option<(usize, usize)> {
+        let set = self.tags.set_of(tag);
+        self.tags
+            .find(set, |&t| t == tag)
+            .map(|(way, _)| (set, way))
     }
 
     /// Looks up the node for `vpn4k`, updating recency on hit.
     pub fn lookup(&mut self, vpn4k: u64) -> bool {
         let tag = self.tag(vpn4k);
-        let set = self.set_of(tag);
-        if let Some(way) = self.tags.row(set).iter().position(|&t| t == Some(tag)) {
+        let hit = self.find(tag);
+        if let Some((set, way)) = hit {
             self.policy.on_hit(set, way, &Self::meta(tag));
-            true
-        } else {
-            false
         }
+        hit.is_some()
     }
 
     /// Installs the node for `vpn4k` after a walk resolves it.
@@ -105,39 +103,31 @@ impl PageStructureCache {
     /// Installs a pre-computed level tag (shared by [`Self::fill`] and the
     /// warm-state import path).
     fn install_tag(&mut self, tag: u64) {
-        let set = self.set_of(tag);
-        if self.tags.row(set).contains(&Some(tag)) {
-            return;
+        if self.find(tag).is_none() {
+            let set = self.tags.set_of(tag);
+            let _ = self
+                .tags
+                .install(&mut self.policy, set, tag, &Self::meta(tag));
         }
-        let way = match self.tags.row(set).iter().position(|t| t.is_none()) {
-            Some(w) => w,
-            None => {
-                let v = self.policy.victim(set, &Self::meta(tag));
-                Policy::<TlbMeta>::on_evict(&mut self.policy, set, v);
-                v
-            }
-        };
-        self.tags.row_mut(set)[way] = Some(tag);
-        self.policy.on_fill(set, way, &Self::meta(tag));
     }
 
     /// Whether the node tag for `vpn4k` is resident, without touching
     /// recency (used by the tier-boundary lockstep check).
     pub fn contains_vpn(&self, vpn4k: u64) -> bool {
-        let tag = self.tag(vpn4k);
-        self.tags.row(self.set_of(tag)).contains(&Some(tag))
+        self.find(self.tag(vpn4k)).is_some()
     }
 
     /// Exports resident tags per set in **LRU-first** order, so replaying
     /// them through the fill path reproduces the recency ordering.
     pub fn export_tags(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.tags.sets() * self.tags.width());
+        let mut out = Vec::with_capacity(self.tags.capacity());
         for set in 0..self.tags.sets() {
-            for way in self.policy.stack().iter_lru_to_mru(set) {
-                if let Some(tag) = self.tags.row(set)[way] {
-                    out.push(tag);
-                }
-            }
+            out.extend(
+                self.policy
+                    .stack()
+                    .iter_lru_to_mru(set)
+                    .filter_map(|way| self.tags.get(set, way)),
+            );
         }
         out
     }
@@ -146,9 +136,7 @@ impl PageStructureCache {
     /// [`Self::export_tags`]) — the warm-state import at a tier boundary.
     /// Tags install LRU-first, so the last tag into a set is its MRU.
     pub fn import_tags<I: IntoIterator<Item = u64>>(&mut self, tags: I) {
-        for set in 0..self.tags.sets() {
-            self.tags.row_mut(set).fill(None);
-        }
+        self.tags.clear();
         for tag in tags {
             self.install_tag(tag);
         }
@@ -160,15 +148,7 @@ impl PageStructureCache {
     /// global entries included.
     pub fn flush_asid(&mut self, asid: Asid) {
         let level = self.level;
-        for set in 0..self.tags.sets() {
-            for slot in self.tags.row_mut(set) {
-                if let Some(tag) = *slot {
-                    if tag_asid(tag, level) == asid {
-                        *slot = None;
-                    }
-                }
-            }
-        }
+        self.tags.retain(|&tag| tag_asid(tag, level) != asid);
     }
 }
 

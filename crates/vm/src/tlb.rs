@@ -11,11 +11,11 @@
 //! compared in Section 6.6.
 
 use crate::page_table::Translation;
-use itpx_policy::{Policy, TlbMeta, TlbPolicyEngine};
+use itpx_policy::{Policy, SetAssoc, TlbMeta, TlbPolicyEngine};
 use itpx_types::fingerprint::{Fingerprint, Fnv1a};
 use itpx_types::{
-    Asid, Cycle, FillClass, PageSize, PhysAddr, ResetBoundary, SetMask, SlotPool, StructStats,
-    ThreadId, TranslationKind, VirtAddr,
+    Asid, Cycle, FillClass, PageSize, PhysAddr, SlotPool, StructStats, ThreadId, TranslationKind,
+    VirtAddr,
 };
 
 /// One resident translation as exported/imported at a tier boundary:
@@ -98,23 +98,14 @@ pub enum TlbLookup {
 
 /// One set-associative TLB level.
 ///
-/// Entry storage is a single flat slice indexed by `set * ways + way` with
-/// per-set validity bitmasks, mirroring [`itpx_mem`]'s cache layout: TLB
+/// Entries live in a [`SetAssoc`] (one flat slab with per-set validity
+/// bitmasks, shared with the caches and page-structure caches): TLB
 /// probes run on every simulated memory reference, and the flat layout
-/// removes the nested-`Vec` double indirection on that path.
+/// keeps that path to one indirection.
 #[derive(Debug)]
 pub struct Tlb {
     cfg: TlbConfig,
-    /// `sets * ways` entry slots; a slot's content is meaningful only when
-    /// the corresponding bit of `valid` is set.
-    entries: Box<[Entry]>,
-    /// Per-set validity bitmask (bit `w` ⇔ way `w` holds an entry).
-    valid: Box<[u64]>,
-    /// `ways` low bits set: the mask of a fully occupied set.
-    full_mask: u64,
-    /// Power-of-two set selection, validated at construction: one AND per
-    /// lookup instead of a `%` division.
-    set_mask: SetMask,
+    entries: SetAssoc<Entry>,
     /// Enum-dispatched so the per-access `on_hit`/`victim`/`on_fill`
     /// calls inline instead of going through a vtable.
     policy: TlbPolicyEngine,
@@ -137,18 +128,12 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate or associativity exceeds 64
-    /// (the validity-bitmask width).
+    /// Panics if the set count is not a power of two, the associativity
+    /// is zero or exceeds 64 (the validity-bitmask width), or there is no
+    /// MSHR.
     pub fn new(cfg: TlbConfig, policy: impl Into<TlbPolicyEngine>) -> Self {
-        let policy = policy.into();
-        assert!(cfg.sets > 0 && cfg.ways > 0, "TLB needs sets > 0, ways > 0");
-        assert!(
-            cfg.sets.is_power_of_two(),
-            "TLB set count must be a power of two (mask indexing)"
-        );
-        assert!(cfg.ways <= 64, "valid bitmask holds at most 64 ways");
         assert!(cfg.mshr_entries > 0, "TLB needs at least one MSHR");
-        let placeholder = Entry {
+        let empty = Entry {
             vpn: 0,
             size: PageSize::Base4K,
             frame: PhysAddr::new(0),
@@ -157,11 +142,8 @@ impl Tlb {
             ready: 0,
         };
         Self {
-            entries: vec![placeholder; cfg.sets * cfg.ways].into_boxed_slice(),
-            valid: vec![0; cfg.sets].into_boxed_slice(),
-            full_mask: u64::MAX >> (64 - cfg.ways as u32),
-            set_mask: SetMask::new(cfg.sets),
-            policy,
+            entries: SetAssoc::new(cfg.sets, cfg.ways, empty),
+            policy: policy.into(),
             current: Asid::KERNEL,
             stats: StructStats::new(),
             outstanding: SlotPool::with_capacity(cfg.mshr_entries),
@@ -180,11 +162,6 @@ impl Tlb {
         &self.stats
     }
 
-    /// The replacement policy driving this TLB.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     fn stat_class(kind: TranslationKind) -> FillClass {
         match kind {
             TranslationKind::Instruction => FillClass::InstrPayload,
@@ -192,44 +169,19 @@ impl Tlb {
         }
     }
 
-    fn set_of(&self, vpn: u64) -> usize {
-        self.set_mask.set_of(vpn)
-    }
-
-    /// The flat-slice index of `(set, way)`.
-    fn slot(&self, set: usize, way: usize) -> usize {
-        set * self.cfg.ways + way
-    }
-
-    /// First valid way in `set` holding `(vpn, size)` visible under
-    /// `asid`, if any. Ways are scanned in ascending order (bit order of
-    /// the validity mask), matching the nested-storage scan. Visibility is
-    /// [`Asid::matches`]: an exact tag match or a global entry. Because a
-    /// page's globality is a pure function of its virtual address, a
-    /// global and a tenant-tagged entry for the same `(vpn, size)` never
-    /// coexist, so the scan order cannot change which entry is found.
-    fn find_way(&self, set: usize, vpn: u64, size: PageSize, asid: Asid) -> Option<usize> {
-        let mut mask = self.valid[set];
-        while mask != 0 {
-            let way = mask.trailing_zeros() as usize;
-            // way < cfg.ways because only the low `ways` mask bits are set
-            let e = &self.entries[self.slot(set, way)];
-            if e.vpn == vpn && e.size == size && e.asid.matches(asid) {
-                return Some(way);
-            }
-            mask &= mask - 1;
-        }
-        None
-    }
-
-    /// Lowest invalid way in `set`, if the set is not full.
-    fn first_free_way(&self, set: usize) -> Option<usize> {
-        let free = !self.valid[set] & self.full_mask;
-        if free == 0 {
-            None
-        } else {
-            Some(free.trailing_zeros() as usize)
-        }
+    /// The `(set, way)` and entry holding `(vpn, size)` visible under
+    /// `asid`, if any. Visibility is [`Asid::matches`]: an exact tag match
+    /// or a global entry. Because a page's globality is a pure function
+    /// of its virtual address, a global and a tenant-tagged entry for the
+    /// same `(vpn, size)` never coexist, so the scan order cannot change
+    /// which entry is found.
+    fn find(&self, vpn: u64, size: PageSize, asid: Asid) -> Option<(usize, usize, &Entry)> {
+        let set = self.entries.set_of(vpn);
+        self.entries
+            .find(set, |e| {
+                e.vpn == vpn && e.size == size && e.asid.matches(asid)
+            })
+            .map(|(way, e)| (set, way, e))
     }
 
     fn meta(&self, vpn: u64, pc: u64, kind: TranslationKind, thread: ThreadId) -> TlbMeta {
@@ -253,18 +205,16 @@ impl Tlb {
         let done = now + self.cfg.latency;
         for size in [PageSize::Base4K, PageSize::Huge2M] {
             let vpn = va.vpn(size).0;
-            let set = self.set_of(vpn);
-            if let Some(way) = self.find_way(set, vpn, size, self.current) {
+            if let Some((set, way, e)) = self.find(vpn, size, self.current) {
+                let hit = TlbLookup::Hit {
+                    done: done.max(e.ready),
+                    frame: e.frame,
+                    size,
+                };
                 let meta = self.meta(vpn, pc, kind, thread);
                 self.policy.on_hit(set, way, &meta);
                 self.stats.record(Self::stat_class(kind), false);
-                // find_way only reports valid ways
-                let entry = self.entries[self.slot(set, way)];
-                return TlbLookup::Hit {
-                    done: done.max(entry.ready),
-                    frame: entry.frame,
-                    size,
-                };
+                return hit;
             }
         }
         self.stats.record(Self::stat_class(kind), true);
@@ -376,38 +326,8 @@ impl Tlb {
         ready: Cycle,
     ) {
         self.stats.record_miss_latency(miss_latency);
-        let set = self.set_of(vpn);
-        // Already present (filled by a merged miss): just refresh. Probing
-        // with the installing tag is an exact-tag residence check — the
-        // never-both invariant (see `find_way`) rules out a global entry
-        // shadowing a tenant fill or vice versa.
-        if let Some(way) = self.find_way(set, vpn, size, asid) {
-            let meta = self.meta(vpn, pc, kind, thread);
-            self.policy.on_hit(set, way, &meta);
-            return;
-        }
         let meta = self.meta(vpn, pc, kind, thread);
-        let way = match self.first_free_way(set) {
-            Some(w) => w,
-            None => {
-                let v = self.policy.victim(set, &meta);
-                // In-range victims are the policy contract (checked for
-                // every in-tree policy by the CheckedPolicy drives); the
-                // release hot path does not re-check unless the
-                // strict-contracts feature asks for it. An out-of-range
-                // way still cannot corrupt memory — the slot index below
-                // bounds-checks.
-                #[cfg(feature = "strict-contracts")]
-                assert!(v < self.cfg.ways, "policy returned way out of range");
-                #[cfg(not(feature = "strict-contracts"))]
-                debug_assert!(v < self.cfg.ways, "policy returned way out of range");
-                self.policy.on_evict(set, v);
-                v
-            }
-        };
-        self.valid[set] |= 1 << way;
-        // way came from first_free_way or a range-checked victim
-        self.entries[self.slot(set, way)] = Entry {
+        let entry = Entry {
             vpn,
             size,
             frame,
@@ -415,7 +335,25 @@ impl Tlb {
             asid,
             ready,
         };
-        self.policy.on_fill(set, way, &meta);
+        // Already present (filled by a merged miss): just refresh.
+        if let Some((set, way)) = self.install(entry, &meta) {
+            self.policy.on_hit(set, way, &meta);
+        }
+    }
+
+    /// Installs `e` under the policy unless `(vpn, size)` is already
+    /// resident under its tag, in which case the resident `(set, way)` is
+    /// returned and nothing changes. Probing with the installing tag is
+    /// an exact-tag residence check: the never-both invariant (see
+    /// [`Tlb::find`]) rules out a global entry shadowing a tenant fill or
+    /// vice versa.
+    fn install(&mut self, e: Entry, meta: &TlbMeta) -> Option<(usize, usize)> {
+        if let Some((set, way, _)) = self.find(e.vpn, e.size, e.asid) {
+            return Some((set, way));
+        }
+        let set = self.entries.set_of(e.vpn);
+        self.entries.install(&mut self.policy, set, e, meta);
+        None
     }
 
     /// The address space lookups currently run under.
@@ -438,18 +376,7 @@ impl Tlb {
     /// are untouched: a walk already in progress completes and installs
     /// under the tag captured at fill time.
     pub fn flush_asid(&mut self, asid: Asid) {
-        for set in 0..self.cfg.sets {
-            let mut mask = self.valid[set];
-            while mask != 0 {
-                let way = mask.trailing_zeros() as usize;
-                // way comes from the set's valid mask, so slot(set, way)
-                // is in bounds by construction
-                if self.entries[self.slot(set, way)].asid == asid {
-                    self.valid[set] &= !(1 << way);
-                }
-                mask &= mask - 1;
-            }
-        }
+        self.entries.retain(|e| e.asid != asid);
     }
 
     /// Targeted shootdown: invalidates any entry translating `va` under
@@ -457,18 +384,9 @@ impl Tlb {
     pub fn invalidate_page(&mut self, va: VirtAddr, asid: Asid) {
         for size in [PageSize::Base4K, PageSize::Huge2M] {
             let vpn = va.vpn(size).0;
-            let set = self.set_of(vpn);
-            let mut mask = self.valid[set];
-            while mask != 0 {
-                let way = mask.trailing_zeros() as usize;
-                // way comes from the set's valid mask, so slot(set, way)
-                // is in bounds by construction
-                let e = &self.entries[self.slot(set, way)];
-                if e.vpn == vpn && e.size == size && e.asid == asid {
-                    self.valid[set] &= !(1 << way);
-                }
-                mask &= mask - 1;
-            }
+            let set = self.entries.set_of(vpn);
+            self.entries
+                .retain_set(set, |e| !(e.vpn == vpn && e.size == size && e.asid == asid));
         }
     }
 
@@ -476,23 +394,10 @@ impl Tlb {
     /// region `region_vpn2m` — the TLB half of a huge-page promotion or
     /// demotion, which changes the region's translations wholesale.
     pub fn invalidate_region(&mut self, region_vpn2m: u64) {
-        for set in 0..self.cfg.sets {
-            let mut mask = self.valid[set];
-            while mask != 0 {
-                let way = mask.trailing_zeros() as usize;
-                // way comes from the set's valid mask, so slot(set, way)
-                // is in bounds by construction
-                let e = &self.entries[self.slot(set, way)];
-                let in_region = match e.size {
-                    PageSize::Base4K => e.vpn >> 9 == region_vpn2m,
-                    PageSize::Huge2M => e.vpn == region_vpn2m,
-                };
-                if in_region {
-                    self.valid[set] &= !(1 << way);
-                }
-                mask &= mask - 1;
-            }
-        }
+        self.entries.retain(|e| match e.size {
+            PageSize::Base4K => e.vpn >> 9 != region_vpn2m,
+            PageSize::Huge2M => e.vpn != region_vpn2m,
+        });
     }
 
     /// Clears statistics (entries and replacement state are preserved).
@@ -504,18 +409,12 @@ impl Tlb {
     /// warm-state snapshot handed to the functional tier at a boundary.
     /// Statistics and replacement metadata are not touched.
     pub fn export_entries(&self) -> Vec<TlbEntry> {
-        let mut out = Vec::with_capacity(self.cfg.sets * self.cfg.ways);
-        for set in 0..self.cfg.sets {
-            let mut mask = self.valid[set];
-            while mask != 0 {
-                let way = mask.trailing_zeros() as usize;
-                // way comes from the set's valid mask, so slot(set, way)
-                // is in bounds by construction
-                let e = &self.entries[self.slot(set, way)];
-                out.push((e.vpn, e.size, e.frame, e.kind, e.asid));
-                mask &= mask - 1;
-            }
-        }
+        let mut out = Vec::with_capacity(self.entries.capacity());
+        out.extend(
+            self.entries
+                .iter()
+                .map(|e| (e.vpn, e.size, e.frame, e.kind, e.asid)),
+        );
         out
     }
 
@@ -526,32 +425,11 @@ impl Tlb {
     /// a set is its MRU. Statistics are NOT perturbed: a handoff is not
     /// simulated traffic.
     pub fn import_entries<I: IntoIterator<Item = TlbEntry>>(&mut self, entries: I) {
-        for v in self.valid.iter_mut() {
-            *v = 0;
-        }
+        self.entries.clear();
         self.outstanding.retain(|_| false);
         for (vpn, size, frame, kind, asid) in entries {
-            let set = self.set_of(vpn);
-            if self.find_way(set, vpn, size, asid).is_some() {
-                continue;
-            }
             let meta = self.meta(vpn, 0, kind, ThreadId(0));
-            let way = match self.first_free_way(set) {
-                Some(w) => w,
-                None => {
-                    let v = self.policy.victim(set, &meta);
-                    #[cfg(feature = "strict-contracts")]
-                    assert!(v < self.cfg.ways, "policy returned way out of range");
-                    #[cfg(not(feature = "strict-contracts"))]
-                    debug_assert!(v < self.cfg.ways, "policy returned way out of range");
-                    self.policy.on_evict(set, v);
-                    v
-                }
-            };
-            self.valid[set] |= 1 << way;
-            // way is a free slot or a checked victim (< ways), so
-            // slot(set, way) is in bounds
-            self.entries[self.slot(set, way)] = Entry {
+            let entry = Entry {
                 vpn,
                 size,
                 frame,
@@ -559,30 +437,26 @@ impl Tlb {
                 asid,
                 ready: 0,
             };
-            self.policy.on_fill(set, way, &meta);
+            let _ = self.install(entry, &meta);
         }
     }
 
     /// Number of resident entries.
     pub fn resident_count(&self) -> usize {
-        self.valid.iter().map(|v| v.count_ones() as usize).sum()
+        self.entries.len()
     }
 
     /// Whether a translation for `va` at `size` is visible under the
     /// current ASID.
     pub fn contains(&self, va: VirtAddr, size: PageSize) -> bool {
-        let vpn = va.vpn(size).0;
-        let set = self.set_of(vpn);
-        self.find_way(set, vpn, size, self.current).is_some()
+        self.find(va.vpn(size).0, size, self.current).is_some()
     }
 
     /// Whether a translation for `va` at `size` tagged `asid` is resident
     /// (exact tag under the never-both invariant, regardless of the
     /// current ASID).
     pub fn contains_tagged(&self, va: VirtAddr, size: PageSize, asid: Asid) -> bool {
-        let vpn = va.vpn(size).0;
-        let set = self.set_of(vpn);
-        self.find_way(set, vpn, size, asid).is_some()
+        self.find(va.vpn(size).0, size, asid).is_some()
     }
 }
 
@@ -617,94 +491,63 @@ impl LastLevelTlb {
         }
     }
 
+    /// The member structures: one unified STLB, or the instruction then
+    /// the data half of a split one.
+    fn members(&self) -> impl Iterator<Item = &Tlb> {
+        let (first, second) = match self {
+            LastLevelTlb::Unified(t) => (t, None),
+            LastLevelTlb::Split { instr, data } => (instr, Some(data)),
+        };
+        std::iter::once(first).chain(second)
+    }
+
+    fn members_mut(&mut self) -> impl Iterator<Item = &mut Tlb> {
+        let (first, second) = match self {
+            LastLevelTlb::Unified(t) => (t, None),
+            LastLevelTlb::Split { instr, data } => (instr, Some(data)),
+        };
+        std::iter::once(first).chain(second)
+    }
+
     /// Aggregated statistics across the organization.
     pub fn stats(&self) -> StructStats {
-        match self {
-            LastLevelTlb::Unified(t) => t.stats().clone(),
-            LastLevelTlb::Split { instr, data } => {
-                let mut s = instr.stats().clone();
-                s.merge(data.stats());
-                s
-            }
+        let mut s = StructStats::new();
+        for t in self.members() {
+            s.merge(t.stats());
         }
+        s
     }
 
     /// Clears statistics on every member structure.
     pub fn reset_stats(&mut self) {
-        match self {
-            LastLevelTlb::Unified(t) => t.reset_stats(),
-            LastLevelTlb::Split { instr, data } => {
-                instr.reset_stats();
-                data.reset_stats();
-            }
-        }
+        self.members_mut().for_each(Tlb::reset_stats);
     }
 
     /// Total entries across the organization.
     pub fn entries(&self) -> usize {
-        match self {
-            LastLevelTlb::Unified(t) => t.config().entries(),
-            LastLevelTlb::Split { instr, data } => {
-                instr.config().entries() + data.config().entries()
-            }
-        }
+        self.members().map(|t| t.config().entries()).sum()
     }
 
     /// Retargets lookups in every member structure (a context switch).
     pub fn set_current_asid(&mut self, asid: Asid) {
-        match self {
-            LastLevelTlb::Unified(t) => t.set_current_asid(asid),
-            LastLevelTlb::Split { instr, data } => {
-                instr.set_current_asid(asid);
-                data.set_current_asid(asid);
-            }
-        }
+        self.members_mut().for_each(|t| t.set_current_asid(asid));
     }
 
     /// Flushes `asid`-tagged entries from every member structure.
     pub fn flush_asid(&mut self, asid: Asid) {
-        match self {
-            LastLevelTlb::Unified(t) => t.flush_asid(asid),
-            LastLevelTlb::Split { instr, data } => {
-                instr.flush_asid(asid);
-                data.flush_asid(asid);
-            }
-        }
+        self.members_mut().for_each(|t| t.flush_asid(asid));
     }
 
     /// Targeted shootdown across every member structure.
     pub fn invalidate_page(&mut self, va: VirtAddr, asid: Asid) {
-        match self {
-            LastLevelTlb::Unified(t) => t.invalidate_page(va, asid),
-            LastLevelTlb::Split { instr, data } => {
-                instr.invalidate_page(va, asid);
-                data.invalidate_page(va, asid);
-            }
-        }
+        self.members_mut().for_each(|t| t.invalidate_page(va, asid));
     }
 
     /// Invalidates a 2 MiB region in every member structure (huge-page
     /// promotion/demotion churn).
     pub fn invalidate_region(&mut self, region_vpn2m: u64) {
-        match self {
-            LastLevelTlb::Unified(t) => t.invalidate_region(region_vpn2m),
-            LastLevelTlb::Split { instr, data } => {
-                instr.invalidate_region(region_vpn2m);
-                data.invalidate_region(region_vpn2m);
-            }
-        }
-    }
-}
-
-impl ResetBoundary for Tlb {
-    fn reset_boundary(&mut self) {
-        self.reset_stats();
-    }
-}
-
-impl ResetBoundary for LastLevelTlb {
-    fn reset_boundary(&mut self) {
-        self.reset_stats();
+        self.members_mut()
+            .for_each(|t| t.invalidate_region(region_vpn2m));
     }
 }
 
@@ -1010,13 +853,13 @@ mod tests {
     }
 
     #[test]
-    fn reset_boundary_clears_stats_keeps_entries() {
+    fn reset_stats_clears_stats_keeps_entries() {
         let mut t = tlb();
         let va = VirtAddr::new(0x1234_5678);
         let _ = t.lookup(va, TranslationKind::Data, 0, ThreadId(0), 0);
         fill4k(&mut t, va, 0x1);
         assert!(t.stats().accesses() > 0);
-        t.reset_boundary();
+        t.reset_stats();
         assert_eq!(t.stats().accesses(), 0);
         assert!(t.contains(va, PageSize::Base4K));
     }
