@@ -703,6 +703,22 @@ mod tests {
         assert_eq!(explicit_flat.key(), base_request().key());
     }
 
+    /// Tiered results are keyed apart from those stored while a
+    /// fast-forward warmed a policy-free copy of the machine and handed
+    /// it over: the schedule's fingerprint is salted, so those entries
+    /// are never served again.
+    #[test]
+    fn tiered_keys_skip_the_handoff_era() {
+        let key = SimRequest::single(
+            &SystemConfig::asplos25(),
+            Preset::Lru,
+            &smoke_workload(1).tiers(itpx_trace::TierSchedule::tiered(1_000, 10_000, 4)),
+        )
+        .key();
+        assert_ne!(key, 0x89eb_c815_ff68_5bb9, "the handoff-era key");
+        assert_eq!(key, 0xb284_eafb_1b33_414e);
+    }
+
     /// Same contract for the context schedule: a flat (single-ASID,
     /// no-switching) schedule hashes as nothing, so keys minted before
     /// multi-tenancy existed keep serving warm caches.

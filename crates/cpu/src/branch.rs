@@ -63,13 +63,20 @@ impl HashedPerceptron {
     /// Trains on the actual outcome and updates the global history.
     /// Returns `true` if the prediction was correct.
     pub fn update(&mut self, pc: u64, taken: bool) -> bool {
-        let sum = self.sum(pc);
-        let predicted = sum >= 0;
-        let correct = predicted == taken;
+        let correct = self.train(pc, taken);
         self.predictions += 1;
         if !correct {
             self.mispredictions += 1;
         }
+        correct
+    }
+
+    /// [`HashedPerceptron::update`] without counting the prediction: a
+    /// fast-forward trains the predictor this way, so the branch counters
+    /// only count measured branches.
+    pub fn train(&mut self, pc: u64, taken: bool) -> bool {
+        let sum = self.sum(pc);
+        let correct = (sum >= 0) == taken;
         if !correct || sum.abs() <= self.threshold {
             for t in 0..NUM_TABLES {
                 let i = self.index(t, pc);
@@ -97,17 +104,6 @@ impl HashedPerceptron {
     /// (predictions, mispredictions) so far.
     pub fn counts(&self) -> (u64, u64) {
         (self.predictions, self.mispredictions)
-    }
-
-    /// Adopts `other`'s learned state — weight tables and global history —
-    /// without touching this predictor's prediction/misprediction
-    /// counters. This is the warm-state import at a tier boundary: the
-    /// functional tier trains a clone, and the cycle model takes the
-    /// training without inheriting off-window accounting.
-    pub fn import_state(&mut self, other: &Self) {
-        self.tables = other.tables.clone();
-        self.history = other.history;
-        self.threshold = other.threshold;
     }
 }
 
@@ -157,6 +153,16 @@ mod tests {
         }
         assert!(p.predict(0x100));
         assert!(!p.predict(0x200));
+    }
+
+    #[test]
+    fn training_learns_without_counting() {
+        let mut p = HashedPerceptron::new();
+        for _ in 0..50 {
+            p.train(0x400, true);
+        }
+        assert!(p.predict(0x400));
+        assert_eq!(p.counts(), (0, 0));
     }
 
     #[test]

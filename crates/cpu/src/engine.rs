@@ -27,7 +27,6 @@
 
 use crate::branch::HashedPerceptron;
 use crate::config::FDIP_MAX_DEPTH;
-use crate::functional::FunctionalMachine;
 use crate::output::{LevelReport, SimulationOutput, ThreadOutput, WalkerSummary};
 use crate::system::System;
 use itpx_trace::{
@@ -40,33 +39,28 @@ use std::collections::VecDeque;
 /// Ring size for dependency tracking (dep distances are `u8`).
 const DEP_RING: usize = 256;
 
-/// Cap on the functionally-executed warm tail of a fast-forward segment.
+/// Cap on the warm tail of a fast-forward segment.
 ///
 /// A fast-forward of N instructions splits into a *free skip* of
 /// `N - min(N, FF_WARM_CAP)` (the phase fork re-seeds the generator, so
-/// skipped instructions cost nothing) and a *warm tail* executed through
-/// the functional machine to refresh TLB/cache/predictor state. 250k
-/// instructions is far past the warm-state half-life of every Table 1
-/// structure, so a longer tail changes nothing but wall-clock.
+/// skipped instructions cost nothing) and a *warm tail* that drives the
+/// machine's own TLBs, PSCs, caches and branch predictor through their
+/// untimed warm paths. 250k instructions is far past the warm-state
+/// half-life of every Table 1 structure, so a longer tail changes
+/// nothing but wall-clock.
 const FF_WARM_CAP: u64 = 250_000;
 
 /// One segment of a tiered run (the engine's execution-tier abstraction).
 ///
 /// A run is a schedule of segments: [`Tier::FastForward`] advances
-/// program state through the functional machine (plus the free skip
-/// beyond [`FF_WARM_CAP`]), and [`Tier::Window`] measures
-/// cycle-accurately. Measured with `perfbench --trace 1` on a 2-vCPU
-/// x86-64 host, the functional tier costs ~82 ns per instruction (68–83
-/// ns over three runs; `cpu.functional.ns_per_inst`, tiered-tenants) and
-/// the cycle tier ~300 ns (266–354 ns over three runs; 1 /
-/// `host.sim_ips_raw`, server-flat), about 3.6× apart; neither figure
-/// includes instruction synthesis, which runs on the supply thread when
-/// it is ahead.
+/// program state through the warm paths of the machine's own structures
+/// (no timing, no statistics; plus the free skip beyond
+/// [`FF_WARM_CAP`]), and [`Tier::Window`] measures cycle-accurately.
 /// [`Tier::segments`] lowers a [`TierSchedule`] into this form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// Functional fast-forward covering `instructions` program
-    /// instructions (warm-state handoff at both edges).
+    /// Fast-forward covering `instructions` program instructions, with
+    /// a settle step at its end.
     FastForward {
         /// Program instructions the segment covers.
         instructions: u64,
@@ -105,7 +99,7 @@ impl Tier {
 /// Live state of a multi-tenant [`ContextSchedule`].
 ///
 /// The schedule clock counts *executed program instructions* across both
-/// execution tiers (cycle windows and functional fast-forwards advance it
+/// execution tiers (cycle windows and warm fast-forwards advance it
 /// identically), so switches, shootdowns, and churn fire at the same
 /// program points no matter how a run is tiered. Cadence events
 /// (shootdown/churn) target the data VA of the instruction they fire on —
@@ -636,7 +630,7 @@ impl Engine {
         }
     }
 
-    /// Runs one functional fast-forward segment on thread `ti`, covering
+    /// Runs one fast-forward segment on thread `ti`, covering
     /// `instructions` program instructions.
     ///
     /// The warm stream is a *phase fork* of the thread's spec (same
@@ -644,13 +638,14 @@ impl Engine {
     /// stream is not advanced and measurement windows stay contiguous —
     /// the fast-forward models "elsewhere in the same program phase".
     /// Everything beyond the last [`FF_WARM_CAP`] instructions is a free
-    /// skip; the warm tail runs through a [`FunctionalMachine`] snapshot
-    /// of the cycle structures plus a clone of the branch predictor, and
-    /// both hand their state back at the segment edge. No simulated time
-    /// passes and no statistics accrue.
+    /// skip; the warm tail drives the machine's own TLBs, PSCs, caches
+    /// and branch predictor through their warm paths
+    /// ([`System::warm_fetch`], [`System::warm_data`],
+    /// [`HashedPerceptron::train`]), so every replacement policy keeps
+    /// the state it builds. No simulated time passes and no statistics
+    /// accrue; [`System::settle`] at the segment edge leaves no in-flight
+    /// work for the next window.
     fn fast_forward(&mut self, ti: usize, salt: u64, instructions: u64) {
-        let mut fun = FunctionalMachine::from_cycle(&self.system);
-        let mut warm_bp = self.threads[ti].bp.clone();
         let warm = instructions.min(FF_WARM_CAP);
         let va_offset = self.threads[ti].va_offset;
         let tid = self.threads[ti].id;
@@ -671,8 +666,7 @@ impl Engine {
             let crossings = ctx.skip(instructions - warm);
             for _ in 0..crossings {
                 let (asid, flush) = ctx.rotate(&mut self.threads[ti]);
-                fun.context_switch(asid, flush);
-                self.system.address_space_mut(tid).switch_to(asid);
+                self.system.context_switch(asid, flush);
             }
         }
         let mut cur_block = u64::MAX;
@@ -680,8 +674,7 @@ impl Engine {
             if let Some(ctx) = self.ctx.as_mut() {
                 if ctx.switch_due() {
                     let (asid, flush) = ctx.rotate(&mut self.threads[ti]);
-                    fun.context_switch(asid, flush);
-                    self.system.address_space_mut(tid).switch_to(asid);
+                    self.system.context_switch(asid, flush);
                     cur_block = u64::MAX;
                 }
             }
@@ -709,7 +702,7 @@ impl Engine {
             let block = pc >> 6;
             if block != cur_block {
                 cur_block = block;
-                fun.fetch(self.system.address_space_mut(tid), VirtAddr::new(pc));
+                self.system.warm_fetch(VirtAddr::new(pc), tid);
             }
             if let Some(m) = inst.mem {
                 let va = VirtAddr::new(m.addr + va_offset);
@@ -717,37 +710,22 @@ impl Engine {
                 // the instruction they fire on, before it translates.
                 if let Some(ctx) = self.ctx.as_mut() {
                     if ctx.shootdown_due() {
-                        fun.shootdown(va, ctx.asid());
+                        self.system.shootdown(va, ctx.asid());
                     }
                     if ctx.churn_due() {
-                        let region = va.vpn(PageSize::Huge2M).0;
-                        if self
-                            .system
-                            .address_space_mut(tid)
-                            .churn_region(region)
-                            .is_some()
-                        {
-                            fun.invalidate_region(region);
-                        }
+                        self.system.churn_region(tid, va.vpn(PageSize::Huge2M).0);
                     }
                 }
-                if m.store {
-                    fun.store(self.system.address_space_mut(tid), va);
-                } else {
-                    fun.load(self.system.address_space_mut(tid), va);
-                }
+                self.system.warm_data(va, pc, tid, m.store);
             }
             if let Some(b) = inst.branch {
-                warm_bp.update(pc, b.taken);
+                self.threads[ti].bp.train(pc, b.taken);
             }
             if let Some(ctx) = self.ctx.as_mut() {
                 ctx.clock += 1;
             }
         }
-        self.threads[ti].bp.import_state(&warm_bp);
-        fun.seed_cycle(&mut self.system);
-        #[cfg(feature = "strict-contracts")]
-        fun.verify_seeded(&self.system);
+        self.system.settle();
     }
 
     /// Steps the unfinished thread earliest in simulated time until every

@@ -1,43 +1,31 @@
-//! The functional tier: a timing-free reference machine with warm-state
-//! import/export surfaces.
+//! The functional reference machine: the difftest oracle for the cycle
+//! model's structures.
 //!
-//! This model started life as the difftest crate's obviously-correct
-//! reference machine and was promoted here so the execution engine can
-//! drive it as the *fast-forward tier* of a tiered schedule (see
-//! DESIGN.md, "Tiered execution"): per-set MRU-first recency lists
-//! instead of policy objects and validity bitmasks, straight-line
-//! lookups instead of MSHR merging, and no timing at all. It still
-//! shares **no** structure code with `itpx-vm`/`itpx-mem` — only the
-//! page table (the deterministic address mapping both machines must
-//! agree on) and the type vocabulary — which is exactly what makes it
-//! usable as a differential reference *and* as a warming engine.
-//!
-//! Two jobs, one model:
-//!
-//! * **Difftest reference** — `itpx-difftest` wraps [`FunctionalMachine`]
-//!   and compares its counters against the quiescent cycle model bit for
-//!   bit.
-//! * **Fast-forward tier** — at a tier boundary the engine snapshots the
-//!   cycle structures ([`FunctionalMachine::from_cycle`]), runs the
-//!   fast-forward warm tail through this model at functional speed, and
-//!   seeds the warmed contents back ([`FunctionalMachine::seed_cycle`]).
-//!   Handoffs carry *membership, dirt, recency order, and the paper's
-//!   `Type` bit*; replacement metadata richer than recency (RRPV ages,
-//!   SHiP counters) is reconstructed through the policies' fill hooks —
-//!   the documented fidelity limit of a handoff.
+//! A timing-free model of the TLBs, PSCs and cache chain: per-set
+//! MRU-first recency lists instead of policy objects and validity
+//! bitmasks, straight-line lookups instead of MSHR merging, and no
+//! timing at all. It shares **no** structure code with
+//! `itpx-vm`/`itpx-mem` — only the page table (the deterministic address
+//! mapping both machines must agree on) and the type vocabulary — which
+//! is what makes it a differential reference. `itpx-difftest` wraps
+//! [`FunctionalMachine`] and checks two things against it under LRU:
+//! the quiescent cycle model's counters, bit for bit, and the residency
+//! a fast-forward's warm path leaves in the cycle structures (see
+//! DESIGN.md, "Tiered execution"). The engine itself never runs it.
 
 use crate::config::SystemConfig;
-use crate::system::System;
-use itpx_mem::CacheLineSnapshot;
-#[cfg(feature = "strict-contracts")]
-use itpx_types::Vpn;
 use itpx_types::{
     Asid, FillClass, LevelCounts, LevelId, PageSize, PhysAddr, SetGrid, SetMask, StructCounts,
     TranslationKind, VirtAddr,
 };
 use itpx_vm::address_space::AddressSpace;
 use itpx_vm::psc::{namespaced_vpn, tag_asid};
-use itpx_vm::tlb::{LastLevelTlb, TlbConfig, TlbEntry};
+use itpx_vm::tlb::TlbConfig;
+
+/// One resident translation: `(vpn, size, frame, asid)`, where `asid` is
+/// the tag the entry was installed under ([`Asid::GLOBAL`] for mappings
+/// that hit in every address space).
+type TlbEntry = (u64, PageSize, PhysAddr, Asid);
 
 /// Set-associative storage of the functional structures: one flat
 /// `sets × ways` slab plus a fill count per set. Each set's live entries
@@ -146,25 +134,10 @@ impl<T: Copy> MruSets<T> {
             self.retain_set(set, &keep);
         }
     }
-
-    /// Empties every set.
-    fn clear(&mut self) {
-        self.lens.fill(0);
-    }
-
-    /// Every live entry through `f`, each set LRU-first: replaying the
-    /// sequence through an MRU-inserting fill path rebuilds the recency
-    /// order.
-    fn export<U>(&self, f: impl Fn(&T) -> U) -> Vec<U> {
-        let mut out = Vec::with_capacity(self.lens.iter().sum());
-        for set in self.iter() {
-            out.extend(set.iter().rev().map(&f));
-        }
-        out
-    }
 }
 
-/// A TLB modeled as per-set MRU-first lists of [`TlbEntry`] tuples.
+/// A TLB modeled as per-set MRU-first lists of `(vpn, size, frame, asid)`
+/// tuples.
 ///
 /// Equivalent to the production structure under LRU: a hit or a refill
 /// of a resident entry moves it to the front, a fill pushes to the
@@ -185,13 +158,7 @@ pub struct FunctionalTlb {
 impl FunctionalTlb {
     /// Builds an empty TLB with `cfg`'s geometry.
     pub fn new(cfg: &TlbConfig) -> Self {
-        let blank = (
-            0,
-            PageSize::Base4K,
-            PhysAddr::new(0),
-            TranslationKind::Data,
-            Asid::KERNEL,
-        );
+        let blank = (0, PageSize::Base4K, PhysAddr::new(0), Asid::KERNEL);
         Self {
             sets: MruSets::new(cfg.sets, cfg.ways, blank),
             current: Asid::KERNEL,
@@ -213,7 +180,7 @@ impl FunctionalTlb {
             let vpn = va.vpn(size).0;
             let set = self.sets.set_of(vpn);
             let current = self.current;
-            if let Some(pos) = self.sets.find(set, |&(v, s, _, _, a)| {
+            if let Some(pos) = self.sets.find(set, |&(v, s, _, a)| {
                 v == vpn && s == size && a.matches(current)
             }) {
                 let entry = self.sets.touch(set, pos);
@@ -225,27 +192,18 @@ impl FunctionalTlb {
         None
     }
 
-    /// Installs a translation; a resident entry is refreshed in place.
-    /// `kind` is the `Type` bit of the installing fill, carried so a
-    /// later export hands it back to kind-aware cycle policies. `asid` is
-    /// the entry's address-space tag.
-    pub fn fill(
-        &mut self,
-        vpn: u64,
-        size: PageSize,
-        frame: PhysAddr,
-        kind: TranslationKind,
-        asid: Asid,
-    ) {
+    /// Installs a translation tagged `asid`; a resident entry is
+    /// refreshed in place.
+    pub fn fill(&mut self, vpn: u64, size: PageSize, frame: PhysAddr, asid: Asid) {
         let set = self.sets.set_of(vpn);
-        match self.sets.find(set, |&(v, s, _, _, a)| {
+        match self.sets.find(set, |&(v, s, _, a)| {
             v == vpn && s == size && a.matches(asid)
         }) {
             Some(pos) => {
                 self.sets.touch(set, pos);
             }
             None => {
-                self.sets.push_front(set, (vpn, size, frame, kind, asid));
+                self.sets.push_front(set, (vpn, size, frame, asid));
             }
         }
     }
@@ -255,15 +213,10 @@ impl FunctionalTlb {
         self.current = asid;
     }
 
-    /// The address space lookups currently run under.
-    pub fn current_asid(&self) -> Asid {
-        self.current
-    }
-
     /// Drops every entry tagged exactly `asid`, preserving the recency
     /// order of survivors (mirrors `Tlb::flush_asid`).
     pub fn flush_asid(&mut self, asid: Asid) {
-        self.sets.retain(|&(_, _, _, _, a)| a != asid);
+        self.sets.retain(|&(_, _, _, a)| a != asid);
     }
 
     /// Targeted shootdown of `va` under exactly `asid`, both page sizes
@@ -272,33 +225,8 @@ impl FunctionalTlb {
         for size in [PageSize::Base4K, PageSize::Huge2M] {
             let vpn = va.vpn(size).0;
             let set = self.sets.set_of(vpn);
-            self.sets.retain_set(set, |&(v, s, _, _, a)| {
-                !(v == vpn && s == size && a == asid)
-            });
-        }
-    }
-
-    /// Drops every entry (any tag) inside the 2 MiB region `region_vpn2m`
-    /// (mirrors `Tlb::invalidate_region`).
-    pub fn invalidate_region(&mut self, region_vpn2m: u64) {
-        self.sets.retain(|&(v, s, _, _, _)| match s {
-            PageSize::Base4K => v >> 9 != region_vpn2m,
-            PageSize::Huge2M => v != region_vpn2m,
-        });
-    }
-
-    /// Exports resident entries per set in **LRU-first** order, so
-    /// replaying them through a fill path reproduces the recency order.
-    pub fn export_entries(&self) -> Vec<TlbEntry> {
-        self.sets.export(|&e| e)
-    }
-
-    /// Replaces contents with `entries`, installing in iteration order
-    /// (last entry into a set becomes its MRU). Stats are not touched.
-    pub fn import_entries<I: IntoIterator<Item = TlbEntry>>(&mut self, entries: I) {
-        self.sets.clear();
-        for (vpn, size, frame, kind, asid) in entries {
-            self.fill(vpn, size, frame, kind, asid);
+            self.sets
+                .retain_set(set, |&(v, s, _, a)| !(v == vpn && s == size && a == asid));
         }
     }
 
@@ -307,14 +235,14 @@ impl FunctionalTlb {
         self.sets.iter().map(<[TlbEntry]>::len).max().unwrap_or(0)
     }
 
-    /// Whether a `(vpn, size)` translation visible under the current ASID
-    /// is resident, without touching recency or stats.
-    pub fn contains(&self, vpn: u64, size: PageSize) -> bool {
+    /// Whether a `(vpn, size)` translation visible under `asid` is
+    /// resident, without touching recency or stats (the functional
+    /// counterpart of `Tlb::contains_tagged`).
+    pub fn contains(&self, vpn: u64, size: PageSize, asid: Asid) -> bool {
         let set = self.sets.set_of(vpn);
-        let current = self.current;
         self.sets
-            .find(set, |&(v, s, _, _, a)| {
-                v == vpn && s == size && a.matches(current)
+            .find(set, |&(v, s, _, a)| {
+                v == vpn && s == size && a.matches(asid)
             })
             .is_some()
     }
@@ -356,27 +284,19 @@ impl FunctionalPsc {
     /// production fill early-returns without a recency update.
     pub fn fill(&mut self, vpn4k: u64) {
         let tag = self.tag(vpn4k);
-        self.install_tag(tag);
-    }
-
-    fn install_tag(&mut self, tag: u64) {
         let set = self.tags.set_of(tag);
         if self.tags.find(set, |&t| t == tag).is_none() {
             self.tags.push_front(set, tag);
         }
     }
 
-    /// Exports resident tags LRU-first (see the TLB counterpart).
-    pub fn export_tags(&self) -> Vec<u64> {
-        self.tags.export(|&t| t)
-    }
-
-    /// Replaces contents with raw level tags, installing in order.
-    pub fn import_tags<I: IntoIterator<Item = u64>>(&mut self, tags: I) {
-        self.tags.clear();
-        for tag in tags {
-            self.install_tag(tag);
-        }
+    /// Whether the node tag for `vpn4k` is resident, without touching
+    /// recency.
+    pub fn contains_vpn(&self, vpn4k: u64) -> bool {
+        let tag = self.tag(vpn4k);
+        self.tags
+            .find(self.tags.set_of(tag), |&t| t == tag)
+            .is_some()
     }
 
     /// Drops tags cached under `asid`'s namespace (mirrors
@@ -433,24 +353,12 @@ impl FunctionalPscs {
         self.pscl5.fill(vpn4k);
     }
 
-    /// Snapshots all four levels as `[PSCL5, PSCL4, PSCL3, PSCL2]`,
-    /// matching [`itpx_vm::SplitPscs::export_tags`]'s layout.
-    pub fn export_tags(&self) -> [Vec<u64>; 4] {
-        [
-            self.pscl5.export_tags(),
-            self.pscl4.export_tags(),
-            self.pscl3.export_tags(),
-            self.pscl2.export_tags(),
-        ]
-    }
-
-    /// Replaces all four levels from an export snapshot.
-    pub fn import_tags(&mut self, tags: [Vec<u64>; 4]) {
-        let [t5, t4, t3, t2] = tags;
-        self.pscl5.import_tags(t5);
-        self.pscl4.import_tags(t4);
-        self.pscl3.import_tags(t3);
-        self.pscl2.import_tags(t2);
+    /// Whether any level holds a node for `vpn4k`, without touching
+    /// recency (mirrors `SplitPscs::contains_vpn`).
+    pub fn contains_vpn(&self, vpn4k: u64) -> bool {
+        [&self.pscl2, &self.pscl3, &self.pscl4, &self.pscl5]
+            .iter()
+            .any(|p| p.contains_vpn(vpn4k))
     }
 
     /// Drops every level's tags under `asid`'s namespace (mirrors
@@ -463,15 +371,11 @@ impl FunctionalPscs {
     }
 }
 
-/// One cached block of the functional chain. Unlike the original
-/// reference line, it remembers the installing access's [`FillClass`] so
-/// a warm-state export can hand class-aware cycle policies the right
-/// kind.
+/// One cached block of the functional chain.
 #[derive(Debug, Clone, Copy)]
 struct FunctionalLine {
     block: u64,
     dirty: bool,
-    class: FillClass,
 }
 
 /// One level of the functional chain.
@@ -492,7 +396,6 @@ impl FunctionalLevel {
         let blank = FunctionalLine {
             block: 0,
             dirty: false,
-            class: FillClass::DataPayload,
         };
         Self {
             id,
@@ -510,49 +413,18 @@ impl FunctionalLevel {
         self.lines.find(set, |l| l.block == block).is_some()
     }
 
+    /// Whether `block` is resident and dirty, without touching recency.
+    pub fn is_dirty(&self, block: u64) -> bool {
+        let set = self.lines.set_of(block);
+        self.lines
+            .find(set, |l| l.block == block)
+            .is_some_and(|pos| self.lines.set(set)[pos].dirty)
+    }
+
     fn mark_dirty(&mut self, block: u64) {
         let set = self.lines.set_of(block);
         if let Some(line) = self.lines.find_mut(set, |l| l.block == block) {
             line.dirty = true;
-        }
-    }
-
-    /// This level's identity.
-    pub fn id(&self) -> LevelId {
-        self.id
-    }
-
-    /// Exports resident lines LRU-first in the mem crate's snapshot form.
-    pub fn export_lines(&self) -> Vec<CacheLineSnapshot> {
-        self.lines.export(|l| (l.block, l.dirty, l.class))
-    }
-
-    /// Replaces contents with `lines`, installing MRU-last per set.
-    /// Counters are not touched.
-    pub fn import_lines<I: IntoIterator<Item = CacheLineSnapshot>>(&mut self, lines: I) {
-        self.lines.clear();
-        for (block, dirty, class) in lines {
-            self.install(block, dirty, class);
-        }
-    }
-
-    /// Installs `block` as its set's MRU; a resident block is refreshed
-    /// in place. Returns the line a full set displaced.
-    fn install(&mut self, block: u64, dirty: bool, class: FillClass) -> Option<FunctionalLine> {
-        let set = self.lines.set_of(block);
-        match self.lines.find(set, |l| l.block == block) {
-            Some(pos) => {
-                self.lines.touch(set, pos);
-                None
-            }
-            None => self.lines.push_front(
-                set,
-                FunctionalLine {
-                    block,
-                    dirty,
-                    class,
-                },
-            ),
         }
     }
 }
@@ -611,15 +483,21 @@ impl FunctionalChain {
             Some(next) => self.access(next, block, class),
             None => self.dram_reads += 1,
         }
-        if let Some(victim) = self.fill(idx, block, class) {
+        if let Some(victim) = self.fill(idx, block) {
             self.route_writeback(idx, victim);
         }
     }
 
-    /// Installs `block` clean; returns a displaced dirty block.
-    fn fill(&mut self, idx: usize, block: u64, class: FillClass) -> Option<u64> {
+    /// Installs the absent `block` clean as its set's MRU; returns a
+    /// displaced dirty block.
+    fn fill(&mut self, idx: usize, block: u64) -> Option<u64> {
         let level = &mut self.levels[idx];
-        let victim = level.install(block, false, class)?;
+        let set = level.lines.set_of(block);
+        let line = FunctionalLine {
+            block,
+            dirty: false,
+        };
+        let victim = level.lines.push_front(set, line)?;
         level.evictions += 1;
         if victim.dirty {
             level.writebacks += 1;
@@ -648,16 +526,6 @@ impl FunctionalChain {
     /// outermost-first).
     pub fn levels(&self) -> &[FunctionalLevel] {
         &self.levels
-    }
-
-    /// Mutable level lookup by identity (warm-state imports).
-    pub fn level_mut(&mut self, id: LevelId) -> Option<&mut FunctionalLevel> {
-        self.levels.iter_mut().find(|l| l.id == id)
-    }
-
-    /// Level lookup by identity.
-    pub fn level(&self, id: LevelId) -> Option<&FunctionalLevel> {
-        self.levels.iter().find(|l| l.id == id)
     }
 
     /// Per-level counters in the difftest report vocabulary.
@@ -723,13 +591,12 @@ impl FunctionalMachine {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` requests a split STLB — the functional tier (like
-    /// the difftest reference) models the unified organization the paper
-    /// optimizes.
+    /// Panics if `cfg` requests a split STLB — the reference models the
+    /// unified organization the paper optimizes.
     pub fn new(cfg: &SystemConfig) -> Self {
         assert!(
             !cfg.split_stlb,
-            "functional tier models the unified STLB only"
+            "the functional reference models the unified STLB only"
         );
         Self {
             itlb: FunctionalTlb::new(&cfg.itlb),
@@ -740,105 +607,6 @@ impl FunctionalMachine {
             walks: 0,
             instr_walks: 0,
             walk_refs: 0,
-        }
-    }
-
-    /// Snapshots the cycle model's warm contents into a fresh functional
-    /// machine — the cycle → functional half of a tier handoff. Carries
-    /// membership, dirt, page size, and the `Type` bit; cycle-side
-    /// recency is approximated by the cycle export's way order.
-    pub fn from_cycle(system: &System) -> Self {
-        let mut m = Self::new(&system.config);
-        m.itlb.import_entries(system.itlb().export_entries());
-        m.itlb.set_current_asid(system.itlb().current_asid());
-        m.dtlb.import_entries(system.dtlb().export_entries());
-        m.dtlb.set_current_asid(system.dtlb().current_asid());
-        match system.stlb() {
-            LastLevelTlb::Unified(t) => {
-                m.stlb.import_entries(t.export_entries());
-                m.stlb.set_current_asid(t.current_asid());
-            }
-            // Self::new above already rejected split configurations.
-            LastLevelTlb::Split { .. } => unreachable!("split STLB rejected at construction"),
-        }
-        m.pscs.import_tags(system.pscs().export_tags());
-        for (id, cache) in system.hierarchy.levels() {
-            if let Some(level) = m.chain.level_mut(id) {
-                level.import_lines(cache.export_lines());
-            }
-        }
-        m
-    }
-
-    /// Seeds the cycle model's structures from this machine's contents —
-    /// the functional → cycle half of a tier handoff. Exports iterate
-    /// LRU-first, so the cycle policies' fill hooks rebuild each set
-    /// with the same MRU ordering. Cycle-side statistics are untouched:
-    /// a handoff is not simulated traffic.
-    pub fn seed_cycle(&self, system: &mut System) {
-        let path = system.path_mut();
-        path.set_current_asid(self.itlb.current_asid());
-        path.itlb_mut().import_entries(self.itlb.export_entries());
-        path.dtlb_mut().import_entries(self.dtlb.export_entries());
-        match path.stlb_mut() {
-            LastLevelTlb::Unified(t) => t.import_entries(self.stlb.export_entries()),
-            LastLevelTlb::Split { .. } => unreachable!("split STLB rejected at construction"),
-        }
-        path.pscs_mut().import_tags(self.pscs.export_tags());
-        for (id, cache) in system.hierarchy.levels_mut() {
-            if let Some(level) = self.chain.level(id) {
-                cache.import_lines(level.export_lines());
-            }
-        }
-    }
-
-    /// Tier-boundary lockstep check: every entry this machine holds must
-    /// be resident in the just-seeded cycle structures. Run after
-    /// [`Self::seed_cycle`]; compiled only under `strict-contracts`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first membership divergence, naming the structure.
-    #[cfg(feature = "strict-contracts")]
-    pub fn verify_seeded(&self, system: &System) {
-        for (vpn, size, _, _, asid) in self.itlb.export_entries() {
-            assert!(
-                system
-                    .itlb()
-                    .contains_tagged(Vpn(vpn).base(size), size, asid),
-                "tier handoff lost ITLB entry vpn={vpn:#x}"
-            );
-        }
-        for (vpn, size, _, _, asid) in self.dtlb.export_entries() {
-            assert!(
-                system
-                    .dtlb()
-                    .contains_tagged(Vpn(vpn).base(size), size, asid),
-                "tier handoff lost DTLB entry vpn={vpn:#x}"
-            );
-        }
-        if let LastLevelTlb::Unified(t) = system.stlb() {
-            for (vpn, size, _, _, asid) in self.stlb.export_entries() {
-                assert!(
-                    t.contains_tagged(Vpn(vpn).base(size), size, asid),
-                    "tier handoff lost STLB entry vpn={vpn:#x}"
-                );
-            }
-        }
-        for level in self.chain.levels() {
-            let cycle = system
-                .hierarchy
-                .cache(level.id())
-                // The functional chain was built from this very
-                // hierarchy's level list, so the lookup cannot fail.
-                .expect("chain topologies match");
-            for (block, _, _) in level.export_lines() {
-                assert!(
-                    cycle.contains(block),
-                    "tier handoff lost {} block {block:#x}",
-                    level.id().name()
-                );
-            }
         }
     }
 
@@ -886,14 +654,14 @@ impl FunctionalMachine {
                 self.instr_walks += 1;
             }
             self.walk_refs += steps.len() as u64;
-            self.stlb.fill(tr.vpn, tr.size, tr.frame, kind, tr.asid);
+            self.stlb.fill(tr.vpn, tr.size, tr.frame, tr.asid);
         }
         let l1 = if kind.is_instruction() {
             &mut self.itlb
         } else {
             &mut self.dtlb
         };
-        l1.fill(tr.vpn, tr.size, tr.frame, kind, tr.asid);
+        l1.fill(tr.vpn, tr.size, tr.frame, tr.asid);
         tr.pa
     }
 
@@ -920,7 +688,7 @@ impl FunctionalMachine {
         self.chain.mark_dirty_l1d(block);
     }
 
-    /// Mirrors [`System::context_switch`]: optionally flushes the
+    /// Mirrors [`crate::System::context_switch`]: optionally flushes the
     /// incoming tenant's TLB entries and PSC namespace, then retargets
     /// every TLB level. The caller retargets the [`AddressSpace`]
     /// separately (it is not owned by the machine).
@@ -936,7 +704,7 @@ impl FunctionalMachine {
         self.stlb.set_current_asid(asid);
     }
 
-    /// Mirrors [`System::shootdown`]: a targeted invalidation of `va`
+    /// Mirrors [`crate::System::shootdown`]: a targeted invalidation of `va`
     /// under `asid` across every TLB level (PSC interiors survive, like
     /// production).
     pub fn shootdown(&mut self, va: VirtAddr, asid: Asid) {
@@ -944,23 +712,11 @@ impl FunctionalMachine {
         self.dtlb.invalidate_page(va, asid);
         self.stlb.invalidate_page(va, asid);
     }
-
-    /// Mirrors the TLB half of [`System::churn_region`]: drops every
-    /// entry inside a 2 MiB region after huge-page promotion/demotion.
-    pub fn invalidate_region(&mut self, region_vpn2m: u64) {
-        self.itlb.invalidate_region(region_vpn2m);
-        self.dtlb.invalidate_region(region_vpn2m);
-        self.stlb.invalidate_region(region_vpn2m);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::System;
-    use itpx_core::presets::BuildConfig;
-    use itpx_core::Preset;
-    use itpx_types::{ThreadId, Vpn};
 
     fn cfg() -> SystemConfig {
         SystemConfig::asplos25()
@@ -984,81 +740,5 @@ mod tests {
         m.fetch(&mut pt, VirtAddr::new(0x51_0000_0000));
         assert_eq!(m.walks, 1);
         assert_eq!(m.itlb.stats.misses, [0, 1, 0, 0]);
-    }
-
-    #[test]
-    fn tlb_roundtrip_preserves_membership_and_recency() {
-        let c = cfg();
-        let mut src = FunctionalTlb::new(&c.itlb);
-        src.fill(
-            0x10,
-            PageSize::Base4K,
-            PhysAddr::new(0x1000),
-            TranslationKind::Instruction,
-            Asid::KERNEL,
-        );
-        src.fill(
-            0x20,
-            PageSize::Base4K,
-            PhysAddr::new(0x2000),
-            TranslationKind::Instruction,
-            Asid::KERNEL,
-        );
-        let mut dst = FunctionalTlb::new(&c.itlb);
-        dst.import_entries(src.export_entries());
-        assert!(dst.contains(0x10, PageSize::Base4K));
-        assert!(dst.contains(0x20, PageSize::Base4K));
-        assert_eq!(dst.export_entries(), src.export_entries());
-        assert_eq!(
-            dst.stats.accesses, [0; 4],
-            "imports do not count as traffic"
-        );
-    }
-
-    #[test]
-    fn cycle_handoff_roundtrip_preserves_membership() {
-        let c = cfg();
-        let bundle = Preset::Lru.build(&c.dims(), &BuildConfig::default());
-        let mut sys = System::new(c, bundle, 1);
-        // Warm the cycle model with a few translations + fetches.
-        for i in 0..32u64 {
-            let va = VirtAddr::new(0x51_0000_0000 + i * 4096);
-            let tr = sys.translate(va, TranslationKind::Instruction, va.0, ThreadId(0), i * 500);
-            sys.hierarchy.instr_fetch(tr.pa, va.0, ThreadId(0), i * 500);
-        }
-        let fun = FunctionalMachine::from_cycle(&sys);
-        // Functional snapshot holds exactly what the cycle model holds.
-        for i in 0..32u64 {
-            let va = VirtAddr::new(0x51_0000_0000 + i * 4096);
-            let resident_cycle = sys.itlb().contains(va, PageSize::Base4K)
-                || match sys.stlb() {
-                    LastLevelTlb::Unified(t) => t.contains(va, PageSize::Base4K),
-                    LastLevelTlb::Split { .. } => false,
-                };
-            let vpn = va.vpn(PageSize::Base4K).0;
-            let resident_fun = fun.itlb.contains(vpn, PageSize::Base4K)
-                || fun.stlb.contains(vpn, PageSize::Base4K);
-            assert_eq!(resident_cycle, resident_fun, "page {i} diverged");
-        }
-        // Seed back into a fresh cycle machine and verify membership.
-        let c2 = cfg();
-        let bundle2 = Preset::Lru.build(&c2.dims(), &BuildConfig::default());
-        let mut sys2 = System::new(c2, bundle2, 1);
-        fun.seed_cycle(&mut sys2);
-        #[cfg(feature = "strict-contracts")]
-        fun.verify_seeded(&sys2);
-        for (vpn, size, _, _, _) in fun.itlb.export_entries() {
-            assert!(sys2.itlb().contains(Vpn(vpn).base(size), size));
-        }
-        let l1i_fun = fun.chain.level(LevelId::L1I).expect("has L1I");
-        let l1i_cycle = sys2.hierarchy.cache(LevelId::L1I).expect("has L1I");
-        for (block, _, _) in l1i_fun.export_lines() {
-            assert!(l1i_cycle.contains(block));
-        }
-        assert_eq!(
-            l1i_cycle.stats().accesses(),
-            0,
-            "seeding is not simulated traffic"
-        );
     }
 }

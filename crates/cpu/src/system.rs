@@ -254,17 +254,55 @@ impl System {
         self.path.pscs()
     }
 
-    /// Mutable access to the whole translation path (warm-state imports at
-    /// a tier boundary).
-    pub fn path_mut(&mut self) -> &mut TranslationPath {
-        &mut self.path
+    /// A fast-forward's warm fetch of the code block at `va`: the
+    /// translation and the L1I access go through every structure and
+    /// policy hook a real fetch does, with the real PC and thread, but
+    /// no time passes and no statistic, MSHR, in-flight fill, DRAM,
+    /// walk-register, prefetcher or adaptive-monitor state changes.
+    /// Entries it installs are usable at once.
+    pub fn warm_fetch(&mut self, va: VirtAddr, thread: ThreadId) {
+        let pc = va.0;
+        let (pa, _) = self.warm_translate(va, TranslationKind::Instruction, pc, thread);
+        self.hierarchy.warm_fetch(pa, pc, thread);
     }
 
-    /// Mutable access to `thread`'s address space, so the functional tier
-    /// allocates frames out of the same first-touch sequence the cycle
-    /// model would.
-    pub fn address_space_mut(&mut self, thread: ThreadId) -> &mut AddressSpace {
-        &mut self.spaces[thread.0 as usize]
+    /// A fast-forward's warm load or store to `va` by the instruction at
+    /// `pc`; see [`System::warm_fetch`]. A store dirties its L1D block.
+    pub fn warm_data(&mut self, va: VirtAddr, pc: u64, thread: ThreadId, store: bool) {
+        let (pa, stlb_miss) = self.warm_translate(va, TranslationKind::Data, pc, thread);
+        self.hierarchy.warm_data(pa, pc, thread, store, stlb_miss);
+    }
+
+    fn warm_translate(
+        &mut self,
+        va: VirtAddr,
+        kind: TranslationKind,
+        pc: u64,
+        thread: ThreadId,
+    ) -> (PhysAddr, bool) {
+        let Self {
+            path,
+            spaces,
+            hierarchy,
+            ..
+        } = self;
+        path.warm_translate(
+            &mut spaces[thread.0 as usize],
+            |pa| hierarchy.warm_pte(pa, kind, thread),
+            va,
+            kind,
+            pc,
+            thread,
+        )
+    }
+
+    /// The settle step at the edge of a fast-forward: drops every
+    /// in-flight TLB miss and cache fill and makes every resident entry
+    /// usable at once, so the next window starts with no work left from
+    /// the previous one.
+    pub fn settle(&mut self) {
+        self.path.settle();
+        self.hierarchy.settle();
     }
 
     /// Clears every statistic (warmup/measurement boundary); structure
@@ -373,6 +411,23 @@ mod tests {
         }
         s.on_retire(1000);
         assert!(s.xptp_enabled_fraction().unwrap() > 0.0);
+    }
+
+    #[test]
+    fn warm_entries_are_usable_at_once_and_count_nothing() {
+        let mut s = system(Preset::Lru);
+        let va = VirtAddr::new(0x20_0000_1000);
+        s.warm_data(va, 0x40, ThreadId(0), false);
+        s.settle();
+        assert_eq!(s.walker().walks(), 0, "the warm walk is not counted");
+        assert_eq!(s.dtlb().stats().accesses(), 0);
+        let t = s.translate(va, TranslationKind::Data, 0x40, ThreadId(0), 0);
+        assert!(!t.stlb_miss);
+        assert_eq!(t.done, 1, "a DTLB hit at its lookup latency, at cycle 0");
+        let done = s
+            .hierarchy
+            .data_access(t.pa, 0x40, ThreadId(0), false, false, 0);
+        assert_eq!(done, 5, "an L1D hit at its lookup latency");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Tiered-execution contracts: the degenerate schedule is byte-identical
-//! to the classic run, warm-state handoffs keep windows warm, and tiered
-//! runs are deterministic.
+//! to the classic run, fast-forwards keep windows warm, and tiered runs
+//! are deterministic.
 
 use itpx_core::Preset;
 use itpx_cpu::{Simulation, SystemConfig, Tier};
@@ -32,7 +32,7 @@ fn degenerate_schedule_is_byte_identical_to_flat() {
 
 /// A real tiered run: 4 windows of 5k instructions with 50k fast-forward
 /// gaps covers an 11× longer horizon than it measures, stays warm across
-/// every handoff, and reports plausible results.
+/// every fast-forward, and reports plausible results.
 #[test]
 fn tiered_run_measures_windows_over_a_long_horizon() {
     let cfg = SystemConfig::asplos25();
@@ -46,9 +46,9 @@ fn tiered_run_measures_windows_over_a_long_horizon() {
     assert!(ipc > 0.01 && ipc < 6.0, "implausible IPC {ipc}");
     assert!(out.stlb.accesses() > 0, "STLB never consulted");
     assert!(out.walker.walks > 0, "no walks on a huge footprint");
-    // Warm-state handoff: post-fast-forward windows must not be cold.
-    // A cold 8-way 64-set L1I would miss on nearly every distinct block;
-    // warm handoffs keep the hit rate high.
+    // Post-fast-forward windows must not be cold. A cold 8-way 64-set
+    // L1I would miss on nearly every distinct block; warm fast-forwards
+    // keep the hit rate high.
     let l1i_miss_rate = out.l1i.misses() as f64 / out.l1i.accesses().max(1) as f64;
     assert!(
         l1i_miss_rate < 0.5,
@@ -67,6 +67,21 @@ fn tiered_runs_are_deterministic() {
     let a = Simulation::single_thread(&cfg, Preset::ItpXptp, &w).run();
     let b = Simulation::single_thread(&cfg, Preset::ItpXptp, &w).run();
     assert_eq!(a, b);
+}
+
+/// Fast-forwards warm whichever STLB organization the machine has, so a
+/// split STLB runs tiered as well, deterministically.
+#[test]
+fn split_stlb_tiered_runs_complete_deterministically() {
+    let cfg = SystemConfig::asplos25().with_split_stlb(true);
+    let w = WorkloadSpec::server_like(5)
+        .warmup(4_000)
+        .tiers(TierSchedule::tiered(4_000, 30_000, 3));
+    let a = Simulation::single_thread(&cfg, Preset::Lru, &w).run();
+    let b = Simulation::single_thread(&cfg, Preset::Lru, &w).run();
+    assert_eq!(a, b);
+    assert_eq!(a.instructions(), 12_000, "3 × 4k measured");
+    assert!(a.stlb.accesses() > 0, "STLB never consulted");
 }
 
 /// Runs `a` and `b` as an SMT pair.

@@ -35,9 +35,10 @@ fn config_with(hierarchy: &HierarchyConfig) -> SystemConfig {
     cfg
 }
 
-/// Runs the optimized pipeline over `events` in quiescent mode and
-/// reports its counts.
-pub fn run_system(events: &[Event], hierarchy: &HierarchyConfig) -> DiffReport {
+/// The optimized machine the harness drives: `hierarchy` under LRU, one
+/// hardware thread, as many tenants as `events` name, and every prefetch
+/// hook detached.
+pub(crate) fn system_for(events: &[Event], hierarchy: &HierarchyConfig) -> System {
     let cfg = config_with(hierarchy);
     let bundle = Preset::Lru.build(&cfg.dims(), &BuildConfig::default());
     let mut sys = System::new(cfg, bundle, 1);
@@ -55,6 +56,13 @@ pub fn run_system(events: &[Event], hierarchy: &HierarchyConfig) -> DiffReport {
         // Returns false for levels this chain does not have.
         let _ = sys.hierarchy.set_hooks(id, LevelHooks::none());
     }
+    sys
+}
+
+/// Runs the optimized pipeline over `events` in quiescent mode and
+/// reports its counts.
+pub fn run_system(events: &[Event], hierarchy: &HierarchyConfig) -> DiffReport {
+    let mut sys = system_for(events, hierarchy);
     let mut now: Cycle = EVENT_SPACING;
     for ev in events {
         match ev.kind {
@@ -125,19 +133,35 @@ pub fn check_spec(
     preset_name: &str,
     hierarchy: &HierarchyConfig,
 ) -> Result<(), String> {
+    check_with(
+        spec,
+        preset_name,
+        hierarchy,
+        check_events,
+        "optimized and reference diverge",
+    )
+}
+
+/// Runs `check` on `spec`'s event list; on failure shrinks the list while
+/// `check` keeps failing and reports the reproducer under `what`.
+pub(crate) fn check_with(
+    spec: &FuzzSpec,
+    preset_name: &str,
+    hierarchy: &HierarchyConfig,
+    check: fn(&[Event], &HierarchyConfig) -> Result<(), String>,
+    what: &str,
+) -> Result<(), String> {
     let events = events_from_spec(spec);
-    match check_events(&events, hierarchy) {
+    match check(&events, hierarchy) {
         Ok(()) => Ok(()),
         Err(first) => {
-            let minimized =
-                shrink::minimize(&events, |cand| check_events(cand, hierarchy).is_err());
-            let detail = match check_events(&minimized, hierarchy) {
+            let minimized = shrink::minimize(&events, |cand| check(cand, hierarchy).is_err());
+            let detail = match check(&minimized, hierarchy) {
                 Err(d) => d,
                 Ok(()) => first,
             };
             Err(format!(
-                "{spec} on {preset_name}: optimized and reference diverge \
-                 (shrunk {} -> {} events)\n  {detail}",
+                "{spec} on {preset_name}: {what} (shrunk {} -> {} events)\n  {detail}",
                 events.len(),
                 minimized.len(),
             ))

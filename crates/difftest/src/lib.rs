@@ -17,9 +17,10 @@
 //! [`events::events_from_spec`]), so ASID tagging is oracle-checked end
 //! to end. [`metamorphic`] adds invariance properties (VPN and ASID
 //! relabeling, warm/cold simcache, host-thread count, chain depth) that
-//! catch bug classes a same-input comparison cannot, and [`tiered`]
-//! pins the warm-state handoff of the tiered
-//! execution engine (degenerate schedules exactly reproduce flat runs;
+//! catch bug classes a same-input comparison cannot, [`warm`] checks the
+//! untimed warm path a fast-forward drives the cycle structures through
+//! against the same reference, and [`tiered`] pins the tiered execution
+//! engine end to end (degenerate schedules exactly reproduce flat runs;
 //! fast-forwarded windows stay within tolerance of them).
 //!
 //! Entry point: [`run`] with a [`Scale`] — wired to
@@ -35,6 +36,7 @@ pub mod refmodel;
 pub mod report;
 pub mod shrink;
 pub mod tiered;
+pub mod warm;
 
 pub use driver::{check_events, check_spec, run_reference, run_system, EVENT_SPACING};
 pub use events::{events_from_spec, events_from_trace, tenants_in, Event, EventKind};
@@ -81,6 +83,8 @@ impl Scale {
 pub struct Outcome {
     /// Differential checks executed (trace × hierarchy combinations).
     pub differential_checks: usize,
+    /// Warm-path checks executed (the same combinations).
+    pub warm_checks: usize,
     /// Metamorphic property families evaluated.
     pub metamorphic_checks: usize,
     /// Tier-boundary handoff property families evaluated.
@@ -106,8 +110,8 @@ fn hierarchy_presets() -> [(&'static str, HierarchyConfig); 3] {
 }
 
 /// Runs the full harness at `scale` using `host_threads` worker threads:
-/// every fuzzed trace differentially checked on every hierarchy preset,
-/// then the metamorphic properties.
+/// every fuzzed trace differentially checked and warm-path checked on
+/// every hierarchy preset, then the metamorphic and tier properties.
 pub fn run_with_threads(scale: &Scale, host_threads: usize) -> Outcome {
     let specs = fuzz::corpus(scale.master_seed, scale.traces, scale.instructions);
     let presets = hierarchy_presets();
@@ -118,13 +122,17 @@ pub fn run_with_threads(scale: &Scale, host_threads: usize) -> Outcome {
     let differential_checks = jobs.len();
     let results = Sweep::new(host_threads).run_generic(jobs, |&(spec, p)| {
         let (name, hierarchy) = &presets[p];
-        check_spec(&spec, name, hierarchy).err()
+        let differential = check_spec(&spec, name, hierarchy).err();
+        differential
+            .into_iter()
+            .chain(warm::check_spec(&spec, name, hierarchy).err())
     });
     let mut failures: Vec<String> = results.into_iter().flatten().collect();
     failures.extend(metamorphic::run_all());
     failures.extend(tiered::run_all());
     Outcome {
         differential_checks,
+        warm_checks: differential_checks,
         metamorphic_checks: metamorphic::PROPERTY_COUNT,
         tier_checks: tiered::PROPERTY_COUNT,
         failures,
@@ -150,6 +158,7 @@ mod tests {
         };
         let outcome = run_with_threads(&scale, 2);
         assert_eq!(outcome.differential_checks, 9, "3 traces x 3 presets");
+        assert_eq!(outcome.warm_checks, 9);
         assert_eq!(outcome.metamorphic_checks, 5);
         assert_eq!(outcome.tier_checks, 2);
         assert!(outcome.passed(), "failures: {:#?}", outcome.failures);

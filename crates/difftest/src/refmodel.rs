@@ -1,9 +1,7 @@
 //! The obviously-correct functional reference machine.
 //!
-//! The model itself now lives in `itpx_cpu::functional` — it was promoted
-//! there so the execution engine can drive it as the fast-forward tier of
-//! a tiered schedule (warm-state handoff at every tier boundary). This
-//! module keeps the difftest-facing wrapper: [`RefMachine`] owns its own
+//! The model itself lives in `itpx_cpu::functional`. This module keeps
+//! the difftest-facing wrapper: [`RefMachine`] owns its own
 //! [`AddressSpace`] (the harness replays event lists against a standalone
 //! address space), feeds [`crate::events::Event`]s through the functional
 //! machine, and snapshots its counters as a [`DiffReport`].
@@ -11,16 +9,16 @@
 //! When the optimized pipeline is driven in *quiescent* mode (events
 //! spaced far enough apart that every miss resolves before the next
 //! event arrives; see the driver module), its counts are purely
-//! functional and must equal this model's bit for bit. That same
-//! equivalence is what licenses the fast-forward tier: the state the
-//! functional machine hands the cycle model at a tier boundary is the
-//! state the cycle model would have reached itself, up to timing-induced
-//! reordering.
+//! functional and must equal this model's bit for bit. A fast-forward's
+//! warm path has no timing at all, so the structures it leaves behind
+//! must equal this model's too (see the warm module).
 
 use crate::events::{Event, EventKind};
 use crate::report::DiffReport;
 use itpx_cpu::{FunctionalMachine, SystemConfig};
+use itpx_types::{Asid, TranslationKind};
 use itpx_vm::address_space::AddressSpace;
+use itpx_vm::Translation;
 
 /// The functional reference machine: a [`FunctionalMachine`] over its own
 /// production address space.
@@ -80,6 +78,19 @@ impl RefMachine {
             }
             EventKind::Shootdown { asid } => self.machine.shootdown(va, asid),
         }
+    }
+
+    /// The tenant and translation of access event `ev`; `None` for a
+    /// control event. Call it after [`RefMachine::apply`] has run `ev`:
+    /// the page is mapped by then, so the lookup changes no state.
+    pub fn translation(&mut self, ev: &Event) -> Option<(Asid, Translation)> {
+        let kind = match ev.kind {
+            EventKind::Fetch => TranslationKind::Instruction,
+            EventKind::Load | EventKind::Store => TranslationKind::Data,
+            EventKind::Switch { .. } | EventKind::Shootdown { .. } => return None,
+        };
+        let tr = self.space.translate(itpx_types::VirtAddr::new(ev.va), kind);
+        Some((self.space.current(), tr))
     }
 
     /// Runs every event in order.

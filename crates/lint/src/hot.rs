@@ -11,6 +11,8 @@
 //! * `Tlb::{lookup, fill, fill_and_complete, mshr_alloc, merge}`
 //! * `PageWalker::walk`, `PageTable::translate`
 //! * `System::translate`, `Engine::step`
+//! * `System::{warm_fetch, warm_data}` — a fast-forward's per-instruction
+//!   warm path
 //! * every `Policy` trait method body (`on_fill`, `on_hit`, `victim`,
 //!   `on_evict`) — the engine enums dispatch straight into these, so they
 //!   stand in for the `PolicyEngine` match arms the macro generates.
@@ -58,6 +60,8 @@ const TYPED_ROOTS: &[(&str, &str)] = &[
     ("PageWalker", "walk"),
     ("PageTable", "translate"),
     ("System", "translate"),
+    ("System", "warm_fetch"),
+    ("System", "warm_data"),
     ("Engine", "step"),
 ];
 

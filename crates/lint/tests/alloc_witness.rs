@@ -14,7 +14,7 @@
 use itpx_core::presets::BuildConfig;
 use itpx_core::registry::{cache_policies, tlb_policies, REGISTRY_SEED};
 use itpx_core::Preset;
-use itpx_cpu::{FunctionalMachine, HashedPerceptron, System, SystemConfig};
+use itpx_cpu::{HashedPerceptron, System, SystemConfig};
 use itpx_lint::alloc_witness::CountingAllocator;
 use itpx_mem::{Cache, CacheConfig, Probe};
 use itpx_trace::{TraceGenerator, TraceInst, WorkloadSpec};
@@ -91,52 +91,27 @@ fn tlb_access(tlb: &mut Tlb, r: &mut Rng64, now: u64) -> u64 {
     now + 1
 }
 
-/// Allocation events of one functional fast-forward, by phase.
-struct SegmentAllocs {
-    /// `from_cycle` plus `seed_cycle`: the two handoffs.
-    handoff: u64,
-    /// The functionally executed warm tail between them.
-    tail: u64,
-}
-
-/// One fast-forward segment the way the tiered engine runs it: snapshot
-/// the cycle structures, execute `insts` functionally (a fetch per new
-/// code block, then the data access), and seed the result back.
-fn fast_forward(system: &mut System, insts: &[TraceInst]) -> SegmentAllocs {
+/// One fast-forward's warm tail the way the tiered engine runs it: a warm
+/// fetch per new code block, the data access, the predictor's training,
+/// then the settle step at the segment edge. Returns its allocation
+/// events.
+fn fast_forward(system: &mut System, bp: &mut HashedPerceptron, insts: &[TraceInst]) -> u64 {
     let start = ALLOCATOR.snapshot();
-    let mut fun = FunctionalMachine::from_cycle(system);
-    let in_handoff = start.events_until(ALLOCATOR.snapshot());
-    let tail_start = ALLOCATOR.snapshot();
     let mut block = u64::MAX;
     for inst in insts {
-        let space = system.address_space_mut(ThreadId(0));
         if inst.pc >> 6 != block {
             block = inst.pc >> 6;
-            fun.fetch(space, VirtAddr(inst.pc));
+            system.warm_fetch(VirtAddr(inst.pc), ThreadId(0));
         }
-        match inst.mem {
-            Some(m) if m.store => fun.store(space, VirtAddr(m.addr)),
-            Some(m) => fun.load(space, VirtAddr(m.addr)),
-            None => {}
+        if let Some(m) = inst.mem {
+            system.warm_data(VirtAddr(m.addr), inst.pc, ThreadId(0), m.store);
+        }
+        if let Some(b) = inst.branch {
+            bp.train(inst.pc, b.taken);
         }
     }
-    let tail = tail_start.events_until(ALLOCATOR.snapshot());
-    let out_start = ALLOCATOR.snapshot();
-    fun.seed_cycle(system);
-    SegmentAllocs {
-        handoff: in_handoff + out_start.events_until(ALLOCATOR.snapshot()),
-        tail,
-    }
-}
-
-/// Runs two fast-forward segments over the same stream on a fresh
-/// system with `cfg`'s geometry and returns the second one's counts:
-/// the first maps every page and fills every structure.
-fn second_segment(cfg: SystemConfig, insts: &[TraceInst]) -> SegmentAllocs {
-    let bundle = Preset::ItpXptp.build(&cfg.dims(), &BuildConfig::default());
-    let mut system = System::new(cfg, bundle, 1);
-    fast_forward(&mut system, insts);
-    fast_forward(&mut system, insts)
+    system.settle();
+    start.events_until(ALLOCATOR.snapshot())
 }
 
 #[test]
@@ -248,29 +223,24 @@ fn zero_steady_state_allocations_for_every_registered_policy() {
         }
     }
 
-    // The functional tier: a fast-forward segment's warm tail runs per
-    // instruction and must not allocate once its pages are mapped, and
-    // the handoffs around it allocate per structure, never per set.
+    // The fast-forward: its warm tail runs per instruction on the
+    // machine's own structures and must not allocate once its pages are
+    // mapped. The first segment maps every page and fills every
+    // structure; the second, over the same stream, is measured.
     {
         let insts: Vec<TraceInst> = TraceGenerator::new(&WorkloadSpec::server_like(3))
             .take(50_000)
             .collect();
-        let base = SystemConfig::asplos25();
-        let mut big = base.with_stlb_entries(base.stlb.sets * base.stlb.ways * 2);
-        big.hierarchy.llc_mut().expect("asplos25 has an LLC").sets *= 4;
-        let small = second_segment(base, &insts);
-        let large = second_segment(big, &insts);
-        if small.tail != 0 {
+        let cfg = SystemConfig::asplos25();
+        let bundle = Preset::ItpXptp.build(&cfg.dims(), &BuildConfig::default());
+        let mut system = System::new(cfg, bundle, 1);
+        let mut bp = HashedPerceptron::new();
+        fast_forward(&mut system, &mut bp, &insts);
+        let events = fast_forward(&mut system, &mut bp, &insts);
+        if events != 0 {
             failures.push(format!(
-                "functional warm tail: {} allocation event(s) across {} warm instructions",
-                small.tail,
+                "fast-forward warm tail: {events} allocation event(s) across {} warm instructions",
                 insts.len()
-            ));
-        }
-        if small.handoff != large.handoff {
-            failures.push(format!(
-                "tier handoff: {} allocation event(s) grew to {} with 2x STLB and 4x LLC sets",
-                small.handoff, large.handoff
             ));
         }
     }

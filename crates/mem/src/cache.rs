@@ -3,14 +3,9 @@
 
 use itpx_policy::{CacheMeta, CachePolicyEngine, Policy, SetAssoc};
 use itpx_types::fingerprint::{Fingerprint, Fnv1a};
-use itpx_types::{Cycle, FillClass, StructStats};
+use itpx_types::{Cycle, StructStats};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// One resident line as exported/imported at a tier boundary:
-/// `(block, dirty, fill_class)`. The fill class is the stored meta's class
-/// so class-aware policies see the right kind on re-install.
-pub type CacheLineSnapshot = (u64, bool, FillClass);
 
 /// Geometry and timing of a cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,8 +61,8 @@ impl Fingerprint for CacheConfig {
 }
 
 /// One resident line: only what the cache reads back. The fill's
-/// `CacheMeta` goes to the policy hooks; the line keeps just its class
-/// (for export) and whether a demand access has yet to touch it.
+/// `CacheMeta` goes to the policy hooks; the line keeps just whether a
+/// demand access has yet to touch it.
 #[derive(Debug, Clone, Copy)]
 struct Line {
     block: u64,
@@ -75,7 +70,6 @@ struct Line {
     dirty: bool,
     /// Brought in by a prefetch and not yet demand-touched.
     prefetched: bool,
-    fill: FillClass,
 }
 
 /// Result of a cache probe.
@@ -138,7 +132,6 @@ impl Cache {
             ready: 0,
             dirty: false,
             prefetched: false,
-            fill: FillClass::DataPayload,
         };
         Self {
             lines: SetAssoc::new(cfg.sets, cfg.ways, empty),
@@ -219,6 +212,18 @@ impl Cache {
         }
     }
 
+    /// [`Cache::probe`] on a fast-forward's warm path: the same policy
+    /// hook on a hit, no time and no statistics. Returns whether
+    /// `meta.block` is resident.
+    pub(crate) fn warm_probe(&mut self, meta: &CacheMeta) -> bool {
+        let set = self.lines.set_of(meta.block);
+        let hit = self.lines.find(set, |l| l.block == meta.block);
+        if let Some((way, _)) = hit {
+            self.policy.on_hit(set, way, meta);
+        }
+        hit.is_some()
+    }
+
     /// Reserves an MSHR: returns the cycle the miss may proceed. Fills
     /// completed by `now` leave the heap; if the rest occupy every MSHR
     /// the miss waits for the earliest of them.
@@ -267,19 +272,10 @@ impl Cache {
         ready: Cycle,
         demand: bool,
     ) -> Option<Writeback> {
-        let set = self.lines.set_of(meta.block);
-        debug_assert!(!self.contains(meta.block), "fill_miss of a resident block");
         self.record_fill(miss_start, ready, demand);
-        let line = Line {
-            block: meta.block,
-            ready,
-            dirty: false,
-            // Marked so the first demand touch is counted; a demand PC of
-            // u64::MAX marks the line too (see `probe`).
-            prefetched: !demand || meta.pc == u64::MAX,
-            fill: meta.fill,
-        };
-        let victim = self.lines.install(&mut self.policy, set, line, meta)?;
+        // Marked so the first demand touch is counted; a demand PC of
+        // u64::MAX marks the line too (see `probe`).
+        let victim = self.install_absent(meta, ready, !demand || meta.pc == u64::MAX)?;
         self.evictions += 1;
         victim.dirty.then(|| {
             self.writebacks += 1;
@@ -287,6 +283,38 @@ impl Cache {
                 block: victim.block,
             }
         })
+    }
+
+    /// [`Cache::fill_miss`] on a fast-forward's warm path: the same policy
+    /// hooks and displaced dirty block, no counter and no in-flight fill,
+    /// and the line is readable at once.
+    pub(crate) fn warm_fill(&mut self, meta: &CacheMeta) -> Option<Writeback> {
+        let victim = self.install_absent(meta, 0, false)?;
+        victim.dirty.then_some(Writeback {
+            block: victim.block,
+        })
+    }
+
+    /// Installs the absent `meta.block` as a clean line readable at
+    /// `ready`; returns the line it displaced.
+    fn install_absent(&mut self, meta: &CacheMeta, ready: Cycle, prefetched: bool) -> Option<Line> {
+        debug_assert!(!self.contains(meta.block), "fill of a resident block");
+        let set = self.lines.set_of(meta.block);
+        let line = Line {
+            block: meta.block,
+            ready,
+            dirty: false,
+            prefetched,
+        };
+        self.lines.install(&mut self.policy, set, line, meta)
+    }
+
+    /// The settle step at the end of a fast-forward: forgets every
+    /// in-flight fill and makes every line readable at once, so the next
+    /// window starts with no work left from the previous one.
+    pub(crate) fn settle(&mut self) {
+        self.inflight.clear();
+        self.lines.for_each_mut(|l| l.ready = 0);
     }
 
     /// The bookkeeping every fill does, resident or not: miss latency or
@@ -332,42 +360,12 @@ impl Cache {
         self.lines.find(set, |l| l.block == block).is_some()
     }
 
-    /// Exports every resident line in set order, ways ascending — the
-    /// warm-state snapshot handed across a tier boundary. Statistics and
-    /// replacement metadata are not touched.
-    pub fn export_lines(&self) -> Vec<CacheLineSnapshot> {
-        let mut out = Vec::with_capacity(self.lines.capacity());
-        out.extend(self.lines.iter().map(|l| (l.block, l.dirty, l.fill)));
-        out
-    }
-
-    /// Replaces the cache's contents with `lines`: the warm-state import
-    /// at a tier boundary. Resident lines and in-flight MSHRs are
-    /// dropped, then each line is installed through the regular policy
-    /// fill path in iteration order. Statistics, writeback/eviction
-    /// counters, and prefetch counters are NOT perturbed: a handoff is
-    /// not simulated traffic. Replacement metadata beyond the fill class
-    /// (e.g. RRPV ages) is reconstructed by the policy's fill hook — a
-    /// documented fidelity limit of the handoff.
-    pub fn import_lines<I: IntoIterator<Item = CacheLineSnapshot>>(&mut self, lines: I) {
-        self.lines.clear();
-        self.inflight.clear();
-        for (block, dirty, fill) in lines {
-            if self.contains(block) {
-                continue;
-            }
-            let line = Line {
-                block,
-                ready: 0,
-                dirty,
-                prefetched: false,
-                fill,
-            };
-            let set = self.lines.set_of(block);
-            let _ =
-                self.lines
-                    .install(&mut self.policy, set, line, &CacheMeta::demand(block, fill));
-        }
+    /// Whether `block` is resident and dirty.
+    pub fn is_dirty(&self, block: u64) -> bool {
+        let set = self.lines.set_of(block);
+        self.lines
+            .find(set, |l| l.block == block)
+            .is_some_and(|(_, l)| l.dirty)
     }
 
     /// Number of resident lines.
@@ -485,7 +483,7 @@ mod tests {
 
     #[test]
     fn lines_are_24_bytes() {
-        // block + ready + three one-byte fields: the LLC's line array is
+        // block + ready + two one-byte fields: the LLC's line array is
         // half what a whole stored CacheMeta made it.
         assert_eq!(std::mem::size_of::<Line>(), 24);
     }
@@ -501,23 +499,6 @@ mod tests {
             assert!(matches!(c.probe(&m(4), now, true), Probe::Hit(_)));
         }
         assert_eq!(c.prefetches_useful(), 1);
-
-        // Imported lines are demand lines: their hits are not prefetch
-        // hits, and a prefetch after the import counts once again.
-        c.fill(&m(5), 0, 10, false);
-        let lines = c.export_lines();
-        let mut dst = cache(4, 2);
-        dst.import_lines(lines);
-        for now in [50, 60] {
-            assert!(matches!(dst.probe(&m(4), now, true), Probe::Hit(_)));
-            assert!(matches!(dst.probe(&m(5), now, true), Probe::Hit(_)));
-        }
-        assert_eq!(dst.prefetches_useful(), 0);
-        dst.fill(&m(6), 0, 70, false);
-        for now in [80, 90] {
-            assert!(matches!(dst.probe(&m(6), now, true), Probe::Hit(_)));
-        }
-        assert_eq!(dst.prefetches_useful(), 1);
     }
 
     #[test]
@@ -596,37 +577,6 @@ mod tests {
         c.fill(&m(2), 0, 0, true);
         // The set is full: the next fill asks the policy for a victim.
         c.fill(&m(3), 0, 0, true);
-    }
-
-    #[test]
-    fn export_import_roundtrip_preserves_membership_and_dirt() {
-        let mut src = cache(4, 2);
-        for b in 0..6u64 {
-            src.fill(&m(b), 0, 0, true);
-        }
-        src.mark_dirty(2);
-        let exported = src.export_lines();
-        assert_eq!(exported.len(), src.resident_count());
-
-        let mut dst = cache(4, 2);
-        dst.fill(&m(99), 0, 0, true); // stale content, must be dropped
-        dst.import_lines(exported.clone());
-        assert_eq!(dst.resident_count(), exported.len());
-        assert!(!dst.contains(99));
-        for b in 0..6u64 {
-            assert!(dst.contains(b));
-        }
-        // Imports are not simulated traffic.
-        assert_eq!(dst.stats().accesses(), 0);
-        assert_eq!(dst.evictions(), 0);
-        assert_eq!(dst.writebacks(), 0);
-        // Dirt survives: evicting block 2 produces a writeback.
-        let dirty = dst
-            .export_lines()
-            .into_iter()
-            .find(|(b, _, _)| *b == 2)
-            .expect("block 2 resident");
-        assert!(dirty.1, "dirty bit carried across the roundtrip");
     }
 
     #[test]

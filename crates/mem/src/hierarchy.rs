@@ -23,6 +23,11 @@
 //! a DRAM write. Prefetchers are not baked into the chain; they attach
 //! to individual levels via [`LevelHooks`] and are run for demand
 //! traffic at their level.
+//!
+//! A fast-forward's warm path ([`Hierarchy::warm_fetch`],
+//! [`Hierarchy::warm_data`], [`Hierarchy::warm_pte`]) descends the same
+//! chain through the same policy hooks, untimed and uncounted, without
+//! DRAM or prefetchers; [`Hierarchy::settle`] ends it.
 
 use crate::cache::{Cache, CacheConfig, Probe, Writeback};
 use crate::dram::{Dram, DramConfig};
@@ -455,6 +460,59 @@ impl Hierarchy {
         self.access_chain(SHARED_INDEX, &meta, now, true)
     }
 
+    /// [`Hierarchy::instr_fetch`] on a fast-forward's warm path.
+    pub fn warm_fetch(&mut self, pa: PhysAddr, pc: u64, thread: ThreadId) {
+        let meta = Self::meta(pa, pc, FillClass::InstrPayload, false, thread);
+        self.warm_chain(L1I_INDEX, &meta);
+    }
+
+    /// [`Hierarchy::data_access`] on a fast-forward's warm path.
+    pub fn warm_data(
+        &mut self,
+        pa: PhysAddr,
+        pc: u64,
+        thread: ThreadId,
+        store: bool,
+        stlb_miss: bool,
+    ) {
+        let meta = Self::meta(pa, pc, FillClass::DataPayload, stlb_miss, thread);
+        self.warm_chain(L1D_INDEX, &meta);
+        if store {
+            self.levels[L1D_INDEX].cache.mark_dirty(meta.block);
+        }
+    }
+
+    /// [`Hierarchy::pte_access`] on a fast-forward's warm path.
+    pub fn warm_pte(&mut self, pa: PhysAddr, kind: TranslationKind, thread: ThreadId) {
+        let meta = Self::meta(pa, 0, FillClass::pte_for(kind), false, thread);
+        self.warm_chain(SHARED_INDEX, &meta);
+    }
+
+    /// The warm path's probe → miss-below → fill recursion: each level
+    /// runs its policy's hooks as [`Hierarchy::access_chain`] does, and a
+    /// displaced dirty block lands as a dirty mark in the first lower
+    /// level holding it. Nothing is timed or counted, and no MSHR,
+    /// in-flight fill, DRAM or prefetcher state changes.
+    fn warm_chain(&mut self, idx: usize, meta: &CacheMeta) {
+        let mut meta = *meta;
+        meta.level = self.levels[idx].id;
+        if self.levels[idx].cache.warm_probe(&meta) {
+            return;
+        }
+        if let Some(next) = self.levels[idx].next {
+            self.warm_chain(next, &meta);
+        }
+        if let Some(wb) = self.levels[idx].cache.warm_fill(&meta) {
+            self.absorb_below(idx, wb.block);
+        }
+    }
+
+    /// The settle step at the end of a fast-forward: every level forgets
+    /// its in-flight fills and makes its lines readable at once.
+    pub fn settle(&mut self) {
+        self.levels.iter_mut().for_each(|l| l.cache.settle());
+    }
+
     /// The one probe → miss-below → fill recursion every access class
     /// descends through. `now` is the cycle the access reaches this
     /// level; the level's demand hooks run against that same cycle.
@@ -488,15 +546,24 @@ impl Hierarchy {
     /// mark; otherwise it becomes a DRAM write at cycle `at`.
     fn route_writeback(&mut self, from: usize, wb: Option<Writeback>, at: Cycle) {
         let Some(wb) = wb else { return };
+        if self.absorb_below(from, wb.block) {
+            self.wb_absorbed += 1;
+        } else {
+            self.dram.write(at);
+        }
+    }
+
+    /// Marks `block` dirty in the first strictly-lower level than `from`
+    /// holding it; returns whether one did.
+    fn absorb_below(&mut self, from: usize, block: u64) -> bool {
         let mut next = self.levels[from].next;
         while let Some(idx) = next {
-            if self.levels[idx].cache.mark_dirty(wb.block) {
-                self.wb_absorbed += 1;
-                return;
+            if self.levels[idx].cache.mark_dirty(block) {
+                return true;
             }
             next = self.levels[idx].next;
         }
-        self.dram.write(at);
+        false
     }
 
     /// Prefetches `block` into level `idx` (no-op when already
@@ -559,11 +626,6 @@ impl Hierarchy {
     /// The cache at level `id`, if this chain has one.
     pub fn cache(&self, id: LevelId) -> Option<&Cache> {
         self.levels.iter().find(|l| l.id == id).map(|l| &l.cache)
-    }
-
-    /// Iterates the chain's levels mutably (warm-state handoff imports).
-    pub fn levels_mut(&mut self) -> impl Iterator<Item = (LevelId, &mut Cache)> + '_ {
-        self.levels.iter_mut().map(|l| (l.id, &mut l.cache))
     }
 
     /// Iterates the chain's levels in order (L1I, L1D, then shared

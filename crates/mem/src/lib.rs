@@ -25,7 +25,7 @@ pub mod dram;
 pub mod hierarchy;
 pub mod prefetch;
 
-pub use cache::{Cache, CacheConfig, CacheLineSnapshot, Probe};
+pub use cache::{Cache, CacheConfig, Probe};
 pub use dram::{Dram, DramConfig};
 pub use hierarchy::{
     CacheLevelConfig, Hierarchy, HierarchyConfig, HierarchyPolicies, LevelHooks, MAX_SHARED_LEVELS,

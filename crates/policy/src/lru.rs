@@ -21,11 +21,6 @@ impl Lru {
             stack: RecencyStack::new(sets, ways),
         }
     }
-
-    /// Read-only view of the recency stack (used by tests).
-    pub fn stack(&self) -> &RecencyStack {
-        &self.stack
-    }
 }
 
 impl<M> Policy<M> for Lru {

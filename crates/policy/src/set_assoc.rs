@@ -87,11 +87,6 @@ impl<E: Copy> SetAssoc<E> {
         self.slots.width()
     }
 
-    /// `sets × ways`: the most entries the structure can hold.
-    pub fn capacity(&self) -> usize {
-        self.sets() * self.ways()
-    }
-
     /// The set an address-like key maps to (its low bits).
     #[inline]
     pub fn set_of(&self, key: u64) -> usize {
@@ -113,11 +108,6 @@ impl<E: Copy> SetAssoc<E> {
     pub fn find_mut(&mut self, set: usize, hit: impl Fn(&E) -> bool) -> Option<(usize, &mut E)> {
         let way = self.find(set, hit)?.0;
         Some((way, &mut self.slots.row_mut(set)[way]))
-    }
-
-    /// The entry in `(set, way)`, if that way is valid.
-    pub fn get(&self, set: usize, way: usize) -> Option<&E> {
-        (self.valid[set] >> way & 1 == 1).then(|| &self.slots.row(set)[way])
     }
 
     /// Installs `entry` into `set`: into its lowest free way, or else over
@@ -173,17 +163,14 @@ impl<E: Copy> SetAssoc<E> {
         }
     }
 
-    /// Every valid entry, in set order and ascending ways within a set.
-    pub fn iter(&self) -> impl Iterator<Item = &E> {
-        (0..self.sets()).flat_map(move |set| {
-            let row = self.slots.row(set);
-            ways_of(self.valid[set]).map(move |way| &row[way])
-        })
-    }
-
-    /// Invalidates every entry.
-    pub fn clear(&mut self) {
-        self.valid.fill(0);
+    /// Calls `f` on every valid entry, in set order and ascending ways
+    /// within a set.
+    pub fn for_each_mut(&mut self, mut f: impl FnMut(&mut E)) {
+        for set in 0..self.sets() {
+            let valid = self.valid[set];
+            let row = self.slots.row_mut(set);
+            ways_of(valid).for_each(|way| f(&mut row[way]));
+        }
     }
 
     /// Number of valid entries.
@@ -225,21 +212,24 @@ mod tests {
     }
 
     #[test]
-    fn iteration_is_set_major_with_ascending_ways() {
+    fn visits_are_set_major_with_ascending_ways() {
         let mut sa = SetAssoc::new(4, 2, 0u64);
         let mut lru = Lru::new(4, 2);
         for (set, tag) in [(2, 20), (0, 1), (2, 21), (0, 2), (3, 30)] {
             sa.install(&mut lru, set, tag, &meta());
         }
-        let all: Vec<u64> = sa.iter().copied().collect();
-        assert_eq!(all, vec![1, 2, 20, 21, 30]);
+        let entries = |sa: &mut SetAssoc<u64>| {
+            let mut all = Vec::new();
+            sa.for_each_mut(|t| all.push(*t));
+            all
+        };
+        assert_eq!(entries(&mut sa), vec![1, 2, 20, 21, 30]);
         sa.retain(|&t| t % 2 == 0);
-        assert_eq!(sa.iter().copied().collect::<Vec<_>>(), vec![2, 20, 30]);
-        assert_eq!(sa.get(2, 0), Some(&20));
-        assert_eq!(sa.get(2, 1), None);
-        sa.clear();
+        assert_eq!(entries(&mut sa), vec![2, 20, 30]);
+        sa.for_each_mut(|t| *t += 1);
+        assert_eq!(sa.find(2, |_| true), Some((0, &21)));
+        sa.retain(|_| false);
         assert!(sa.is_empty());
-        assert_eq!(sa.capacity(), 8);
     }
 
     #[test]

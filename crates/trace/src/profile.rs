@@ -260,8 +260,17 @@ impl TierSchedule {
     }
 }
 
+/// Written ahead of a tiered schedule's fields. Tiered results stored
+/// while fast-forwards warmed a policy-free copy of the machine (which
+/// measured LRU-warmed windows) keyed without it, so they are never
+/// served for runs whose fast-forwards warm the machine itself. A
+/// workload spec hashes the flat schedule as nothing, so flat keys
+/// never see the salt.
+const TIERED_KEY_SALT: u64 = 0x7761_726d_2d63_7963;
+
 impl Fingerprint for TierSchedule {
     fn fingerprint(&self, h: &mut Fnv1a) {
+        h.write_u64(TIERED_KEY_SALT);
         h.write_u64(self.window);
         h.write_u64(self.fast_forward);
         h.write_u64(self.windows);

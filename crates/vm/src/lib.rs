@@ -38,5 +38,5 @@ pub use address_space::AddressSpace;
 pub use page_table::{FrameAllocator, HugePagePolicy, PageTable, Translation, WalkPath};
 pub use path::{PathResult, TranslationPath};
 pub use psc::{namespaced_vpn, tag_asid, PageStructureCache, SplitPscs};
-pub use tlb::{LastLevelTlb, Tlb, TlbConfig, TlbEntry, TlbLookup};
+pub use tlb::{LastLevelTlb, Tlb, TlbConfig, TlbLookup};
 pub use walker::{PageWalker, PteMemory, WalkOutcome};

@@ -18,7 +18,7 @@
 use crate::address_space::AddressSpace;
 use crate::psc::SplitPscs;
 use crate::tlb::{LastLevelTlb, Tlb, TlbLookup};
-use crate::walker::{PageWalker, PteMemory};
+use crate::walker::{psc_walk, PageWalker, PteMemory};
 use itpx_types::{Asid, Cycle, PhysAddr, ThreadId, TranslationKind, VirtAddr};
 
 /// Result of a full translation: physical address, availability cycle,
@@ -148,6 +148,50 @@ impl TranslationPath {
         }
     }
 
+    /// [`TranslationPath::translate`] on a fast-forward's warm path: the
+    /// same lookups, walk and fills through every structure's policy
+    /// hooks, with no time, no statistics, no MSHR and no walk register.
+    /// Each page-walk reference goes to `pte`. Returns the physical
+    /// address and whether the STLB missed.
+    pub fn warm_translate(
+        &mut self,
+        space: &mut AddressSpace,
+        mut pte: impl FnMut(PhysAddr),
+        va: VirtAddr,
+        kind: TranslationKind,
+        pc: u64,
+        thread: ThreadId,
+    ) -> (PhysAddr, bool) {
+        let l1 = if kind.is_instruction() {
+            &mut self.itlb
+        } else {
+            &mut self.dtlb
+        };
+        if let Some(pa) = l1.warm_lookup(va, kind, pc, thread) {
+            return (pa, false);
+        }
+        let tr = space.translate(va, kind);
+        let s = self.stlb.for_kind(kind);
+        let stlb_miss = s.warm_lookup(va, kind, pc, thread).is_none();
+        if stlb_miss {
+            let (_, steps) = psc_walk(&tr, &mut self.pscs);
+            steps.iter().for_each(|&(_, pa)| pte(pa));
+            s.warm_fill(&tr, kind, pc, thread);
+        }
+        l1.warm_fill(&tr, kind, pc, thread);
+        (tr.pa, stlb_miss)
+    }
+
+    /// The settle step at the end of a fast-forward: every TLB level
+    /// drops its in-flight misses and makes its entries usable at once.
+    /// Walk registers keep their busy times: they are timing state the
+    /// warm path never touched.
+    pub fn settle(&mut self) {
+        self.itlb.settle();
+        self.dtlb.settle();
+        self.stlb.settle();
+    }
+
     /// The first-level instruction TLB.
     pub fn itlb(&self) -> &Tlb {
         &self.itlb
@@ -168,29 +212,9 @@ impl TranslationPath {
         &self.walker
     }
 
-    /// Mutable first-level instruction TLB (warm-state handoff).
-    pub fn itlb_mut(&mut self) -> &mut Tlb {
-        &mut self.itlb
-    }
-
-    /// Mutable first-level data TLB (warm-state handoff).
-    pub fn dtlb_mut(&mut self) -> &mut Tlb {
-        &mut self.dtlb
-    }
-
-    /// Mutable last-level TLB organization (warm-state handoff).
-    pub fn stlb_mut(&mut self) -> &mut LastLevelTlb {
-        &mut self.stlb
-    }
-
     /// The page-structure caches.
     pub fn pscs(&self) -> &SplitPscs {
         &self.pscs
-    }
-
-    /// Mutable page-structure caches (warm-state handoff).
-    pub fn pscs_mut(&mut self) -> &mut SplitPscs {
-        &mut self.pscs
     }
 
     /// Retargets every TLB level to `asid` — the tag-preserving half of

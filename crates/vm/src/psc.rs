@@ -97,12 +97,6 @@ impl PageStructureCache {
     /// Installs the node for `vpn4k` after a walk resolves it.
     pub fn fill(&mut self, vpn4k: u64) {
         let tag = self.tag(vpn4k);
-        self.install_tag(tag);
-    }
-
-    /// Installs a pre-computed level tag (shared by [`Self::fill`] and the
-    /// warm-state import path).
-    fn install_tag(&mut self, tag: u64) {
         if self.find(tag).is_none() {
             let set = self.tags.set_of(tag);
             let _ = self
@@ -112,34 +106,9 @@ impl PageStructureCache {
     }
 
     /// Whether the node tag for `vpn4k` is resident, without touching
-    /// recency (used by the tier-boundary lockstep check).
+    /// recency.
     pub fn contains_vpn(&self, vpn4k: u64) -> bool {
         self.find(self.tag(vpn4k)).is_some()
-    }
-
-    /// Exports resident tags per set in **LRU-first** order, so replaying
-    /// them through the fill path reproduces the recency ordering.
-    pub fn export_tags(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.tags.capacity());
-        for set in 0..self.tags.sets() {
-            out.extend(
-                self.policy
-                    .stack()
-                    .iter_lru_to_mru(set)
-                    .filter_map(|way| self.tags.get(set, way)),
-            );
-        }
-        out
-    }
-
-    /// Replaces this PSC's contents with raw level tags (as produced by
-    /// [`Self::export_tags`]) — the warm-state import at a tier boundary.
-    /// Tags install LRU-first, so the last tag into a set is its MRU.
-    pub fn import_tags<I: IntoIterator<Item = u64>>(&mut self, tags: I) {
-        self.tags.clear();
-        for tag in tags {
-            self.install_tag(tag);
-        }
     }
 
     /// Invalidates every node cached under `asid`'s namespace (a flushing
@@ -217,29 +186,8 @@ impl SplitPscs {
         self.pscl5.fill(vpn4k);
     }
 
-    /// Snapshots all four levels' resident tags as `[PSCL5, PSCL4, PSCL3,
-    /// PSCL2]`, each LRU-first (see [`PageStructureCache::export_tags`]).
-    pub fn export_tags(&self) -> [Vec<u64>; 4] {
-        [
-            self.pscl5.export_tags(),
-            self.pscl4.export_tags(),
-            self.pscl3.export_tags(),
-            self.pscl2.export_tags(),
-        ]
-    }
-
-    /// Replaces all four levels' contents from an [`Self::export_tags`]
-    /// snapshot — the warm-state import at a tier boundary.
-    pub fn import_tags(&mut self, tags: [Vec<u64>; 4]) {
-        let [t5, t4, t3, t2] = tags;
-        self.pscl5.import_tags(t5);
-        self.pscl4.import_tags(t4);
-        self.pscl3.import_tags(t3);
-        self.pscl2.import_tags(t2);
-    }
-
     /// Whether any level holds a node for `vpn4k` without touching
-    /// recency (used by the tier-boundary lockstep check).
+    /// recency.
     pub fn contains_vpn(&self, vpn4k: u64) -> bool {
         self.pscl2.contains_vpn(vpn4k)
             || self.pscl3.contains_vpn(vpn4k)
@@ -314,27 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn export_import_roundtrip_preserves_tags_and_recency() {
-        let mut src = PageStructureCache::new(2, 1, 2);
-        src.fill(0);
-        src.fill(1 << 9);
-        assert!(src.lookup(0)); // 0 becomes MRU; LRU = 1<<9
-        let tags = src.export_tags();
-        assert_eq!(tags.len(), 2);
-
-        let mut dst = PageStructureCache::new(2, 1, 2);
-        dst.fill(7 << 9); // stale content, must be dropped
-        dst.import_tags(tags);
-        assert!(!dst.contains_vpn(7 << 9));
-        assert!(dst.contains_vpn(0));
-        assert!(dst.contains_vpn(1 << 9));
-        // Recency carried over: a capacity fill evicts 1<<9 (LRU), not 0.
-        dst.fill(2 << 9);
-        assert!(dst.contains_vpn(0));
-        assert!(!dst.contains_vpn(1 << 9));
-    }
-
-    #[test]
     fn kernel_namespace_is_the_identity() {
         assert_eq!(namespaced_vpn(0x1234, Asid::KERNEL), 0x1234);
         assert_ne!(namespaced_vpn(0x1234, Asid(1)), 0x1234);
@@ -365,20 +292,5 @@ mod tests {
         // KERNEL (0) flush of an empty namespace is a no-op for others.
         p.flush_asid(Asid::KERNEL);
         assert!(p.contains_vpn(namespaced_vpn(0x5678, Asid(2))));
-    }
-
-    #[test]
-    fn split_pscs_roundtrip_restores_start_levels() {
-        let mut src = SplitPscs::asplos25();
-        src.fill(0x1234, 1);
-        src.fill(0x9_0000, 1);
-        let snapshot = src.export_tags();
-
-        let mut dst = SplitPscs::asplos25();
-        dst.fill(0xdead_0000, 1); // stale
-        dst.import_tags(snapshot);
-        assert_eq!(dst.start_level(0x1234), 2);
-        assert_eq!(dst.start_level(0x9_0000), 2);
-        assert!(!dst.pscl2.contains_vpn(0xdead_0000));
     }
 }

@@ -18,14 +18,6 @@ use itpx_types::{
     VirtAddr,
 };
 
-/// One resident translation as exported/imported at a tier boundary:
-/// `(vpn, size, frame, kind, asid)`. `kind` is the translation kind of the
-/// fill that installed the entry — the paper's `Type` bit — so kind-aware
-/// policies (iTP) see the right class when warm state is re-installed.
-/// `asid` is the address-space tag the entry was installed under
-/// ([`Asid::GLOBAL`] for mappings that hit in every address space).
-pub type TlbEntry = (u64, PageSize, PhysAddr, TranslationKind, Asid);
-
 /// Geometry and timing of one TLB level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
@@ -60,9 +52,6 @@ struct Entry {
     vpn: u64,
     size: PageSize,
     frame: PhysAddr,
-    /// Translation kind of the installing fill (kept so warm-state export
-    /// at a tier boundary can carry the `Type` bit along).
-    kind: TranslationKind,
     /// Address-space tag of the installing fill. Lookups require
     /// [`Asid::matches`] against the structure's current ASID; global
     /// entries match every space.
@@ -137,7 +126,6 @@ impl Tlb {
             vpn: 0,
             size: PageSize::Base4K,
             frame: PhysAddr::new(0),
-            kind: TranslationKind::Data,
             asid: Asid::KERNEL,
             ready: 0,
         };
@@ -193,6 +181,28 @@ impl Tlb {
         }
     }
 
+    /// The entry translating `va` under the current ASID, probing 4 KiB
+    /// then 2 MiB, with its page size. A hit runs the policy's hit hook;
+    /// nothing is timed or counted.
+    #[inline]
+    fn hit(
+        &mut self,
+        va: VirtAddr,
+        kind: TranslationKind,
+        pc: u64,
+        thread: ThreadId,
+    ) -> Option<(Entry, PageSize)> {
+        for size in [PageSize::Base4K, PageSize::Huge2M] {
+            let vpn = va.vpn(size).0;
+            if let Some((set, way, &e)) = self.find(vpn, size, self.current) {
+                let meta = self.meta(vpn, pc, kind, thread);
+                self.policy.on_hit(set, way, &meta);
+                return Some((e, size));
+            }
+        }
+        None
+    }
+
     /// Looks up `va`, charging the access latency. Records statistics.
     pub fn lookup(
         &mut self,
@@ -202,23 +212,30 @@ impl Tlb {
         thread: ThreadId,
         now: Cycle,
     ) -> TlbLookup {
-        let done = now + self.cfg.latency;
-        for size in [PageSize::Base4K, PageSize::Huge2M] {
-            let vpn = va.vpn(size).0;
-            if let Some((set, way, e)) = self.find(vpn, size, self.current) {
-                let hit = TlbLookup::Hit {
-                    done: done.max(e.ready),
-                    frame: e.frame,
-                    size,
-                };
-                let meta = self.meta(vpn, pc, kind, thread);
-                self.policy.on_hit(set, way, &meta);
-                self.stats.record(Self::stat_class(kind), false);
-                return hit;
-            }
+        let hit = self.hit(va, kind, pc, thread);
+        self.stats.record(Self::stat_class(kind), hit.is_none());
+        match hit {
+            Some((e, size)) => TlbLookup::Hit {
+                done: (now + self.cfg.latency).max(e.ready),
+                frame: e.frame,
+                size,
+            },
+            None => TlbLookup::Miss,
         }
-        self.stats.record(Self::stat_class(kind), true);
-        TlbLookup::Miss
+    }
+
+    /// [`Tlb::lookup`] on a fast-forward's warm path: the same policy
+    /// hook on a hit, no time and no statistics. Returns the physical
+    /// address of `va` on a hit.
+    pub(crate) fn warm_lookup(
+        &mut self,
+        va: VirtAddr,
+        kind: TranslationKind,
+        pc: u64,
+        thread: ThreadId,
+    ) -> Option<PhysAddr> {
+        self.hit(va, kind, pc, thread)
+            .map(|(e, size)| e.frame.offset(va.page_offset(size)))
     }
 
     /// If a miss for the page containing `va` is already outstanding,
@@ -326,34 +343,58 @@ impl Tlb {
         ready: Cycle,
     ) {
         self.stats.record_miss_latency(miss_latency);
-        let meta = self.meta(vpn, pc, kind, thread);
         let entry = Entry {
             vpn,
             size,
             frame,
-            kind,
             asid,
             ready,
         };
-        // Already present (filled by a merged miss): just refresh.
-        if let Some((set, way)) = self.install(entry, &meta) {
-            self.policy.on_hit(set, way, &meta);
-        }
+        self.place(entry, kind, pc, thread);
     }
 
-    /// Installs `e` under the policy unless `(vpn, size)` is already
-    /// resident under its tag, in which case the resident `(set, way)` is
-    /// returned and nothing changes. Probing with the installing tag is
+    /// [`Tlb::fill`] on a fast-forward's warm path: the same policy hooks,
+    /// no miss latency recorded, and the entry is usable at once.
+    pub(crate) fn warm_fill(
+        &mut self,
+        tr: &Translation,
+        kind: TranslationKind,
+        pc: u64,
+        thread: ThreadId,
+    ) {
+        let entry = Entry {
+            vpn: tr.vpn,
+            size: tr.size,
+            frame: tr.frame,
+            asid: tr.asid,
+            ready: 0,
+        };
+        self.place(entry, kind, pc, thread);
+    }
+
+    /// Installs `e` under the policy, or, when `(vpn, size)` is already
+    /// resident under its tag (filled by a merged miss), only refreshes
+    /// the resident entry's recency. Probing with the installing tag is
     /// an exact-tag residence check: the never-both invariant (see
     /// [`Tlb::find`]) rules out a global entry shadowing a tenant fill or
     /// vice versa.
-    fn install(&mut self, e: Entry, meta: &TlbMeta) -> Option<(usize, usize)> {
-        if let Some((set, way, _)) = self.find(e.vpn, e.size, e.asid) {
-            return Some((set, way));
+    fn place(&mut self, e: Entry, kind: TranslationKind, pc: u64, thread: ThreadId) {
+        let meta = self.meta(e.vpn, pc, kind, thread);
+        match self.find(e.vpn, e.size, e.asid) {
+            Some((set, way, _)) => self.policy.on_hit(set, way, &meta),
+            None => {
+                let set = self.entries.set_of(e.vpn);
+                self.entries.install(&mut self.policy, set, e, &meta);
+            }
         }
-        let set = self.entries.set_of(e.vpn);
-        self.entries.install(&mut self.policy, set, e, meta);
-        None
+    }
+
+    /// The settle step at the end of a fast-forward: drops every
+    /// in-flight miss and makes every entry usable at once, so the next
+    /// window starts with no work left from the previous one.
+    pub(crate) fn settle(&mut self) {
+        self.outstanding.retain(|_| false);
+        self.entries.for_each_mut(|e| e.ready = 0);
     }
 
     /// The address space lookups currently run under.
@@ -403,42 +444,6 @@ impl Tlb {
     /// Clears statistics (entries and replacement state are preserved).
     pub fn reset_stats(&mut self) {
         self.stats.reset();
-    }
-
-    /// Exports every resident entry in set order, ways ascending — the
-    /// warm-state snapshot handed to the functional tier at a boundary.
-    /// Statistics and replacement metadata are not touched.
-    pub fn export_entries(&self) -> Vec<TlbEntry> {
-        let mut out = Vec::with_capacity(self.entries.capacity());
-        out.extend(
-            self.entries
-                .iter()
-                .map(|e| (e.vpn, e.size, e.frame, e.kind, e.asid)),
-        );
-        out
-    }
-
-    /// Replaces the TLB's contents with `entries`: the warm-state import
-    /// at a tier boundary. Resident entries and in-flight MSHRs are
-    /// dropped, then each entry is installed through the regular policy
-    /// fill path — iterate **LRU-first** so the last entry installed into
-    /// a set is its MRU. Statistics are NOT perturbed: a handoff is not
-    /// simulated traffic.
-    pub fn import_entries<I: IntoIterator<Item = TlbEntry>>(&mut self, entries: I) {
-        self.entries.clear();
-        self.outstanding.retain(|_| false);
-        for (vpn, size, frame, kind, asid) in entries {
-            let meta = self.meta(vpn, 0, kind, ThreadId(0));
-            let entry = Entry {
-                vpn,
-                size,
-                frame,
-                kind,
-                asid,
-                ready: 0,
-            };
-            let _ = self.install(entry, &meta);
-        }
     }
 
     /// Number of resident entries.
@@ -548,6 +553,11 @@ impl LastLevelTlb {
     pub fn invalidate_region(&mut self, region_vpn2m: u64) {
         self.members_mut()
             .for_each(|t| t.invalidate_region(region_vpn2m));
+    }
+
+    /// [`Tlb::settle`] on every member structure.
+    pub(crate) fn settle(&mut self) {
+        self.members_mut().for_each(Tlb::settle);
     }
 }
 
@@ -779,80 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn export_import_roundtrip_preserves_membership() {
-        let mut src = tlb();
-        // Mixed page sizes and kinds across several sets.
-        for i in 0..12u64 {
-            fill4k(&mut src, VirtAddr::new(i * 4096), i + 1);
-        }
-        src.fill(
-            VirtAddr::new(0x4000_0000).vpn(PageSize::Huge2M).0,
-            PageSize::Huge2M,
-            PhysAddr::new(0x8000_0000),
-            TranslationKind::Instruction,
-            Asid::KERNEL,
-            0,
-            ThreadId(0),
-            10,
-            0,
-        );
-        let exported = src.export_entries();
-        assert_eq!(exported.len(), src.resident_count());
-
-        let mut dst = tlb();
-        fill4k(&mut dst, VirtAddr::new(0xdead_0000), 99); // stale content, must be dropped
-        dst.import_entries(exported.clone());
-        assert_eq!(dst.resident_count(), exported.len());
-        assert!(!dst.contains(VirtAddr::new(0xdead_0000), PageSize::Base4K));
-        for i in 0..12u64 {
-            assert!(dst.contains(VirtAddr::new(i * 4096), PageSize::Base4K));
-        }
-        assert!(dst.contains(VirtAddr::new(0x4000_0000), PageSize::Huge2M));
-        // Exported kinds survive the roundtrip.
-        assert_eq!(dst.export_entries().len(), exported.len());
-        let huge = dst
-            .export_entries()
-            .into_iter()
-            .find(|(_, size, _, _, _)| *size == PageSize::Huge2M)
-            .expect("huge entry survives");
-        assert_eq!(huge.3, TranslationKind::Instruction);
-        assert_eq!(huge.4, Asid::KERNEL);
-    }
-
-    #[test]
-    fn import_does_not_touch_stats_and_sets_mru_order() {
-        let mut src = Tlb::new(
-            TlbConfig {
-                sets: 1,
-                ways: 2,
-                latency: 1,
-                mshr_entries: 2,
-            },
-            Lru::new(1, 2),
-        );
-        // Install A then B: export order is ways-ascending (A first = LRU).
-        fill4k(&mut src, VirtAddr::new(0x1000), 1);
-        fill4k(&mut src, VirtAddr::new(0x2000), 2);
-
-        let mut dst = Tlb::new(
-            TlbConfig {
-                sets: 1,
-                ways: 2,
-                latency: 1,
-                mshr_entries: 2,
-            },
-            Lru::new(1, 2),
-        );
-        dst.import_entries(src.export_entries());
-        assert_eq!(dst.stats().accesses(), 0, "import is not simulated traffic");
-        assert_eq!(dst.stats().misses(), 0);
-        // B was installed last (MRU); a new fill must evict A, not B.
-        fill4k(&mut dst, VirtAddr::new(0x3000), 3);
-        assert!(!dst.contains(VirtAddr::new(0x1000), PageSize::Base4K));
-        assert!(dst.contains(VirtAddr::new(0x2000), PageSize::Base4K));
-    }
-
-    #[test]
     fn reset_stats_clears_stats_keeps_entries() {
         let mut t = tlb();
         let va = VirtAddr::new(0x1234_5678);
@@ -934,16 +870,6 @@ mod tests {
         assert!(!t.contains(region, PageSize::Huge2M));
         assert!(!t.contains(VirtAddr::new(0x4000_1000), PageSize::Base4K));
         assert!(t.contains(VirtAddr::new(0x5000_0000), PageSize::Base4K));
-    }
-
-    #[test]
-    fn export_carries_asid_through_roundtrip() {
-        let mut src = tlb();
-        fill4k_tagged(&mut src, VirtAddr::new(0x1000), 0x1, Asid(3));
-        let mut dst = tlb();
-        dst.import_entries(src.export_entries());
-        assert!(dst.contains_tagged(VirtAddr::new(0x1000), PageSize::Base4K, Asid(3)));
-        assert!(!dst.contains(VirtAddr::new(0x1000), PageSize::Base4K));
     }
 
     #[test]

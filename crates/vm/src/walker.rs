@@ -10,7 +10,7 @@
 //! The walker supports a bounded number of concurrent walks (Table 1: up
 //! to four); an arriving walk waits for a free walk register.
 
-use crate::page_table::Translation;
+use crate::page_table::{Translation, WalkStep};
 use crate::psc::SplitPscs;
 use itpx_types::{Cycle, OnlineMean, PhysAddr, TranslationKind};
 
@@ -42,6 +42,31 @@ pub struct WalkOutcome {
     pub start_level: u8,
     /// Number of memory references the walk performed.
     pub memory_refs: usize,
+}
+
+/// The structure half of a walk for `translation`, shared by timed walks
+/// and a fast-forward's warm walks: picks the start level from `pscs`,
+/// refills every PSC level, and returns the start level with the
+/// page-table references left to read from there.
+///
+/// PSC tags are namespaced by the translation's address space so tenants
+/// walking the same virtual page never share page-table nodes
+/// ([`crate::psc::namespaced_vpn`] is the identity for the single-tenant
+/// KERNEL tag).
+pub(crate) fn psc_walk<'t>(
+    translation: &'t Translation,
+    pscs: &mut SplitPscs,
+) -> (u8, &'t [WalkStep]) {
+    let vpn4k = crate::psc::namespaced_vpn(
+        match translation.size {
+            itpx_types::PageSize::Base4K => translation.vpn,
+            itpx_types::PageSize::Huge2M => translation.vpn << 9,
+        },
+        translation.asid,
+    );
+    let start_level = pscs.start_level(vpn4k);
+    pscs.fill(vpn4k, translation.path.leaf_level());
+    (start_level, translation.path.from_level(start_level))
 }
 
 /// The hardware page-table walker.
@@ -93,24 +118,13 @@ impl PageWalker {
             .expect("non-empty slots");
         let start = now.max(self.slots[slot]);
 
-        // PSC tags are namespaced by the translation's address space so
-        // tenants walking the same virtual page never share page-table
-        // nodes ([`crate::psc::namespaced_vpn`] is the identity for the
-        // single-tenant KERNEL tag).
-        let vpn4k = crate::psc::namespaced_vpn(
-            match translation.size {
-                itpx_types::PageSize::Base4K => translation.vpn,
-                itpx_types::PageSize::Huge2M => translation.vpn << 9,
-            },
-            translation.asid,
-        );
         let mut t = start + pscs.latency;
-        let start_level = pscs.start_level(vpn4k);
-        let steps = translation.path.from_level(start_level);
+        // The memory references below touch no PSC, so refilling the
+        // PSCs before them changes nothing.
+        let (start_level, steps) = psc_walk(translation, pscs);
         for &(_level, pa) in steps {
             t = mem.pte_access(pa, kind, t);
         }
-        pscs.fill(vpn4k, translation.path.leaf_level());
 
         self.slots[slot] = t;
         self.walks += 1;

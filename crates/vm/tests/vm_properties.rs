@@ -1,38 +1,9 @@
 //! Property tests for the virtual-memory substrate.
 
-use itpx_policy::Lru;
-use itpx_types::{Asid, PageSize, PhysAddr, ThreadId, TranslationKind, VirtAddr};
+use itpx_types::{PageSize, TranslationKind, VirtAddr};
 use itpx_vm::page_table::{HugePagePolicy, PageTable};
 use itpx_vm::psc::SplitPscs;
-use itpx_vm::tlb::{Tlb, TlbConfig, TlbEntry};
 use proptest::prelude::*;
-
-/// Sort key over the full entry tuple so multiset comparison covers the
-/// page-size and tag bits, not just membership of the VPN.
-fn tlb_entry_key(e: &TlbEntry) -> (u64, bool, u64, bool, u16) {
-    (
-        e.0,
-        e.1 == PageSize::Huge2M,
-        e.2 .0,
-        e.3 == TranslationKind::Instruction,
-        e.4 .0,
-    )
-}
-
-/// Fills a throwaway 4K data entry under ASID 0 (pre-import pollution).
-fn src_junk_fill(tlb: &mut Tlb, vpn: u64) {
-    tlb.fill(
-        vpn,
-        PageSize::Base4K,
-        PhysAddr(vpn),
-        TranslationKind::Data,
-        Asid(0),
-        0,
-        ThreadId(0),
-        1,
-        0,
-    );
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -75,56 +46,6 @@ proptest! {
             }
             let expected_leaf = if t.size == PageSize::Huge2M { 2 } else { 1 };
             prop_assert_eq!(*levels.last().unwrap(), expected_leaf);
-        }
-    }
-
-    #[test]
-    fn tlb_export_import_roundtrip_preserves_every_entry_bit(
-        fills in prop::collection::vec((0u64..4096, any::<bool>(), any::<bool>()), 1..120),
-        junk in prop::collection::vec(10_000u64..20_000, 0..40),
-    ) {
-        let cfg = TlbConfig { sets: 16, ways: 4, latency: 1, mshr_entries: 8 };
-        let mut src = Tlb::new(cfg, Lru::new(16, 4));
-        for (i, &(vpn, huge, instr)) in fills.iter().enumerate() {
-            let size = if huge { PageSize::Huge2M } else { PageSize::Base4K };
-            let kind = if instr { TranslationKind::Instruction } else { TranslationKind::Data };
-            // Derive the tag from the VPN so one page never carries two
-            // tags (the structure's never-both invariant).
-            let asid = Asid((vpn % 3) as u16);
-            src.fill(vpn, size, PhysAddr(vpn * 7 + 1), kind, asid, 0, ThreadId(0), 1, i as u64);
-        }
-        let snapshot = src.export_entries();
-        prop_assert_eq!(snapshot.len(), src.resident_count());
-
-        // Import into a dirty TLB: import must drop the junk residents.
-        let mut dst = Tlb::new(cfg, Lru::new(16, 4));
-        for &vpn in &junk {
-            src_junk_fill(&mut dst, vpn);
-        }
-        dst.import_entries(snapshot.clone());
-
-        // The import is lossless (a same-geometry snapshot holds at most
-        // `ways` entries per set and no duplicates), so the re-export is
-        // multiset-equal on the FULL tuple — frame, page size,
-        // translation kind, and ASID all survive, not just the VPN set.
-        let mut before = snapshot.clone();
-        let mut after = dst.export_entries();
-        before.sort_by_key(tlb_entry_key);
-        after.sort_by_key(tlb_entry_key);
-        prop_assert_eq!(before, after, "roundtrip must preserve entries bit-for-bit");
-
-        // Every imported entry is visible under its exact tag at its
-        // exact page size.
-        for &(vpn, size, _, _, asid) in &snapshot {
-            let va = VirtAddr::new(vpn << size.shift());
-            prop_assert!(dst.contains_tagged(va, size, asid));
-        }
-        for &vpn in &junk {
-            prop_assert!(
-                !dst.contains_tagged(VirtAddr::new(vpn << PageSize::Base4K.shift()),
-                                     PageSize::Base4K, Asid(0)),
-                "import must evict pre-existing residents"
-            );
         }
     }
 

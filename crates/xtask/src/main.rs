@@ -114,9 +114,12 @@ fn run_difftest(scale_arg: Option<&str>) -> Result<bool, String> {
     );
     let outcome = itpx_difftest::run(&scale);
     println!(
-        "difftest: {} differential check(s), {} metamorphic propert(y/ies), \
-         {} tier-boundary propert(y/ies)",
-        outcome.differential_checks, outcome.metamorphic_checks, outcome.tier_checks
+        "difftest: {} differential check(s), {} warm-path check(s), \
+         {} metamorphic propert(y/ies), {} tier-boundary propert(y/ies)",
+        outcome.differential_checks,
+        outcome.warm_checks,
+        outcome.metamorphic_checks,
+        outcome.tier_checks
     );
     for f in &outcome.failures {
         println!("  divergence: {f}");

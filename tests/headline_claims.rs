@@ -3,6 +3,7 @@
 
 use itpx::prelude::*;
 use itpx_trace::suites::{qualcomm_like_suite, smt_suite};
+use itpx_trace::TierSchedule;
 use itpx_types::stats::geomean_speedup;
 
 // The cooperative effects need room to develop: the code ring cycles its
@@ -107,6 +108,36 @@ fn cooperative_mechanism_signatures() {
         coop.stlb.avg_miss_latency() < itp.stlb.avg_miss_latency(),
         "xPTP must cut STLB miss latency vs iTP alone"
     );
+}
+
+#[test]
+fn tiered_runs_keep_the_cooperative_signature() {
+    // A fast-forward warms the machine's own TLBs, PSCs and caches, so
+    // iTP's recency state and xPTP's PTE protection carry across every
+    // gap. Each window then shows the mechanism: iTP+xPTP ahead of LRU,
+    // with fewer L2C data-PTE misses. Warming a policy-free copy of the
+    // structures instead would leave every window LRU-warmed.
+    let cfg = SystemConfig::asplos25();
+    for seed in [3, 7, 11, 19] {
+        let w = WorkloadSpec::server_like(seed)
+            .warmup(20_000)
+            .tiers(TierSchedule::tiered(5_000, 50_000, 4));
+        let base = Simulation::single_thread(&cfg, Preset::Lru, &w).run();
+        let coop = Simulation::single_thread(&cfg, Preset::ItpXptp, &w).run();
+        assert!(
+            coop.ipc() > base.ipc(),
+            "seed {seed}: tiered coop IPC {:.4} <= lru {:.4}",
+            coop.ipc(),
+            base.ipc()
+        );
+        let (b, c) = (base.l2c_breakdown(), coop.l2c_breakdown());
+        assert!(
+            c.data_pte < b.data_pte,
+            "seed {seed}: tiered L2C data-PTE MPKI {:.2} (coop) >= {:.2} (lru)",
+            c.data_pte,
+            b.data_pte
+        );
+    }
 }
 
 #[test]
