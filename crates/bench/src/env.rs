@@ -249,6 +249,27 @@ mod tests {
     }
 
     #[test]
+    fn tenant_cap_clamps_zero_and_flags_junk() {
+        // How the consolidation figure reads `ITPX_TENANTS`: unset runs the
+        // full sweep, 0 would print a header-only table.
+        let full = u64::from(u16::MAX);
+        assert_eq!(parse_count("ITPX_TENANTS", None, full, 1), (full, None));
+        assert_eq!(parse_count("ITPX_TENANTS", Some("2"), full, 1), (2, None));
+        let (v, complaint) = parse_count("ITPX_TENANTS", Some("0"), full, 1);
+        assert_eq!(v, 1);
+        assert!(complaint
+            .expect("clamping is reported")
+            .contains("ITPX_TENANTS=0"));
+        for junk in ["two", "-1", "99999999999999999999"] {
+            let (v, complaint) = parse_count("ITPX_TENANTS", Some(junk), full, 1);
+            assert_eq!(v, full, "junk {junk:?} keeps the full sweep");
+            assert!(complaint
+                .expect("junk is reported")
+                .contains("ITPX_TENANTS"));
+        }
+    }
+
+    #[test]
     fn shard_layout_defaults_to_one_unsharded_process() {
         assert_eq!(parse_shard_layout(None, None), ((1, 0), Vec::new()));
         let ((s, i), c) = parse_shard_layout(Some("4"), Some("2"));

@@ -16,6 +16,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// * `ITPX_WARMUP` — warmup instructions (default 100 000),
 /// * `ITPX_THREADS` — host threads for parallel runs (default: available
 ///   parallelism).
+///
+/// One knob sizes a single figure rather than every run: `ITPX_TENANTS`
+/// caps the `consolidation` sweep's tenant counts (default: all of them;
+/// validated like the others, so 0 clamps to 1 with a warning).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunScale {
     /// Single-thread workloads per suite.

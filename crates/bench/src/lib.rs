@@ -18,14 +18,15 @@
 //!   appenders, size-capped pruning (`ITPX_SIMCACHE_MAX_MB`).
 //! * [`serve`] — a dependency-free HTTP/1.1 server (`itpx-serve` binary)
 //!   that serves warm campaign results and schedules cold ones.
-//! * [`env`] — validated parsing of the `ITPX_*` variables (junk values
+//! * [`mod@env`] — validated parsing of the `ITPX_*` variables (junk values
 //!   warn once instead of being silently ignored).
 //! * [`figures`] — one report builder per figure, all driven by a shared
-//!   [`campaign::Campaign`].
+//!   [`campaign::Campaign`]: each figure lays its grid of (preset,
+//!   configuration, suite) blocks out as one campaign batch and formats
+//!   its rows straight from the outputs.
 //! * [`report`] — table formatting, violin-style distribution summaries,
-//!   geomean aggregation, and report files.
-//! * [`experiments`] — one module per paper figure, returning structured
-//!   results so integration tests can assert the paper's claims.
+//!   geomean aggregation, and report files (with any CSV exports, written
+//!   only by [`Report::finish`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -33,7 +34,6 @@
 pub mod campaign;
 pub mod csv;
 pub mod env;
-pub mod experiments;
 pub mod figures;
 pub mod harness;
 pub mod plot;

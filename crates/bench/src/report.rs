@@ -1,6 +1,7 @@
 //! Report formatting: distribution summaries (the textual equivalent of
 //! the paper's violin plots), aligned tables, and report files.
 
+use crate::csv::CsvSink;
 use itpx_types::stats::geomean_speedup;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -66,11 +67,13 @@ impl std::fmt::Display for Distribution {
     }
 }
 
-/// A text report that accumulates lines and can be printed and saved.
+/// A text report that accumulates lines and can be printed and saved,
+/// with any CSV exports that go next to it.
 #[derive(Debug, Clone)]
 pub struct Report {
     title: String,
     body: String,
+    csvs: Vec<CsvSink>,
 }
 
 impl Report {
@@ -79,7 +82,11 @@ impl Report {
         let title = title.into();
         let mut body = String::new();
         let _ = writeln!(body, "# {title}");
-        Self { title, body }
+        Self {
+            title,
+            body,
+            csvs: Vec::new(),
+        }
     }
 
     /// Appends one line.
@@ -98,8 +105,20 @@ impl Report {
         &self.body
     }
 
-    /// Prints to stdout and writes `target/experiments/<slug>.txt`,
-    /// returning the path (best effort: IO errors are reported, not fatal).
+    /// Attaches a CSV export for [`Report::finish`] to write; building a
+    /// report writes no files.
+    pub fn attach_csv(&mut self, csv: CsvSink) {
+        self.csvs.push(csv);
+    }
+
+    /// The attached CSV exports, in attachment order.
+    pub fn csvs(&self) -> &[CsvSink] {
+        &self.csvs
+    }
+
+    /// Prints to stdout and writes `target/experiments/<slug>.txt` plus
+    /// every attached CSV, returning the text report's path (best effort:
+    /// IO errors are reported, not fatal).
     pub fn finish(&self) -> Option<PathBuf> {
         println!("{}", self.body);
         let slug: String = self
@@ -116,6 +135,12 @@ impl Report {
         let dir = PathBuf::from("target/experiments");
         if std::fs::create_dir_all(&dir).is_err() {
             return None;
+        }
+        for csv in &self.csvs {
+            if let Err(e) = csv.write_to(&dir) {
+                eprintln!("could not write a CSV export to {}: {e}", dir.display());
+                return None;
+            }
         }
         let path = dir.join(format!("{slug}.txt"));
         match std::fs::write(&path, &self.body) {

@@ -24,7 +24,7 @@
 //!   per-figure latency histograms.
 //!
 //! A connection that sends no byte of its request head, or takes none of
-//! its response, for [`IO_TIMEOUT`] is dropped; a head cut short that way
+//! its response, for two seconds (`IO_TIMEOUT`) is dropped; a head cut short that way
 //! gets a 408 and no route.
 //!
 //! Start it with the `itpx-serve` binary (`ITPX_SERVE_ADDR` picks the

@@ -2,8 +2,7 @@
 //! 4-level hierarchies must build, simulate, report, and memoize — the
 //! level-chain refactor's acceptance path.
 
-use itpx_bench::experiments::depth_sweep;
-use itpx_bench::{Campaign, RunScale, SimCache, SimRequest};
+use itpx_bench::{figures, Campaign, RunScale, SimCache, SimRequest};
 use itpx_core::Preset;
 use itpx_cpu::SystemConfig;
 use itpx_mem::HierarchyConfig;
@@ -104,21 +103,33 @@ fn depth_sweep_experiment_covers_the_grid() {
         ..tiny_scale()
     };
     let campaign = Campaign::new(scale, SimCache::new(None));
-    let cells = depth_sweep::run(&campaign, campaign.scale());
+    let figure = figures::by_name("depth_sweep").expect("depth_sweep is a figure");
+    let report = (figure.build)(&campaign);
+    // One table row per (chain, L2C size) point: chain label, set count,
+    // uplift, and the baseline's L2C MPKI and DRAM reads.
+    let rows: Vec<Vec<&str>> = report
+        .text()
+        .lines()
+        .map(|l| l.split_whitespace().collect::<Vec<_>>())
+        .filter(|cols| cols.len() == 5 && figures::CHAINS.iter().any(|c| c.0 == cols[0]))
+        .collect();
+    let points: Vec<(&str, usize)> = figures::CHAINS
+        .iter()
+        .flat_map(|&(chain, _)| figures::L2C_SETS.iter().map(move |&sets| (chain, sets)))
+        .collect();
     assert_eq!(
-        cells.len(),
-        depth_sweep::CHAINS.len() * depth_sweep::L2C_SETS.len(),
-        "one cell per (chain, L2C size) point"
+        rows.len(),
+        points.len(),
+        "one row per point:\n{}",
+        report.text()
     );
-    for cell in &cells {
+    for (cols, (chain, sets)) in rows.iter().zip(points) {
+        assert_eq!((cols[0], cols[1]), (chain, sets.to_string().as_str()));
+        let uplift: f64 = cols[2].trim_end_matches('%').parse().expect("uplift");
+        let mpki: f64 = cols[3].parse().expect("L2C MPKI");
         assert!(
-            cell.baseline_l2c_mpki.is_finite() && cell.geomean_pct.is_finite(),
-            "cell {cell:?} must report finite numbers"
+            uplift.is_finite() && mpki.is_finite(),
+            "row {cols:?} must report finite numbers"
         );
     }
-    // The whole grid shares its per-config LRU baselines with nothing,
-    // but within the batch each (config, preset, workload) simulates
-    // exactly once.
-    let table = depth_sweep::format_cells(&cells);
-    assert!(table.contains("2-level") && table.contains("4-level"));
 }

@@ -39,6 +39,11 @@ const PINNED: &[(&str, u64, u64)] = &[
     ("consolidation", 0xbae22bf2d855400a, 16),
 ];
 
+/// `(figure, FNV-1a of one attached CSV)`, in attachment order: the
+/// bytes `run_all --figure fig08` writes to `fig08a.csv` and `fig08b.csv`
+/// at [`SCALE`] with the cache off.
+const PINNED_CSVS: &[(&str, u64)] = &[("fig08", 0x23b64d345060ae7d), ("fig08", 0xbbb6a2aa1cdc5a1e)];
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.write_bytes(bytes);
@@ -53,7 +58,7 @@ fn every_figure_matches_its_pinned_digest() {
          consolidation digest cannot match; unset it to run this test"
     );
     let campaign = Campaign::new(SCALE, SimCache::disabled());
-    let mut actual = Vec::new();
+    let (mut actual, mut csvs) = (Vec::new(), Vec::new());
     for fig in figures::ALL {
         let before = campaign.executed();
         let report = (fig.build)(&campaign);
@@ -62,6 +67,9 @@ fn every_figure_matches_its_pinned_digest() {
             fnv1a(report.text().as_bytes()),
             campaign.executed() - before,
         ));
+        for csv in report.csvs() {
+            csvs.push((fig.name, fnv1a(csv.to_csv().as_bytes())));
+        }
     }
     let table: String = actual
         .iter()
@@ -71,4 +79,5 @@ fn every_figure_matches_its_pinned_digest() {
         actual, PINNED,
         "figure digests changed; the measured table is:\n{table}"
     );
+    assert_eq!(csvs, PINNED_CSVS, "attached CSV digests changed");
 }

@@ -103,7 +103,7 @@ fn a_cold_batch_builds_each_layout_once_and_joins_its_helper() {
         workloads.iter().any(|w| unit(w) < unit(&bad)),
         "the bad workload runs first, so no helper would build it"
     );
-    let mut with_bad = workloads.clone();
+    let mut with_bad = workloads;
     with_bad.push(bad);
     let failed = catch_unwind(AssertUnwindSafe(|| {
         campaign().run_batch(requests(&with_bad))

@@ -5,13 +5,15 @@
 //! evictions).
 //!
 //! This is the debug-build twin of `cargo xtask analyze`'s contract pass
-//! (`crates/xtask/src/contracts.rs`): proptest shrinks a failing stream to
+//! (`crates/xtask/src/contracts.rs`), over the same
+//! [`itpx_policy::checked::drive`]: proptest shrinks a failing stream to
 //! a small seed here, while the xtask pass hammers longer streams in
 //! release mode. Streams are generated from [`itpx_types::Rng64`] so a
 //! failing case is reproducible from its printed seed alone.
 
 use itpx_core::registry::{cache_policies, tlb_policies, PolicyEntry};
-use itpx_policy::{CacheMeta, CheckedPolicy, Policy, TlbMeta};
+use itpx_policy::checked::drive;
+use itpx_policy::{CacheMeta, TlbMeta};
 use itpx_types::{FillClass, Rng64, ThreadId, TranslationKind};
 use proptest::prelude::*;
 
@@ -49,52 +51,6 @@ fn cache_meta(rng: &mut Rng64) -> CacheMeta {
     }
 }
 
-/// Drives one policy under `CheckedPolicy`. In debug builds any contract
-/// violation panics inside the wrapper (surfacing as a test failure with
-/// the offending seed); the returned list covers release-mode runs.
-fn drive<M: Copy, P: Policy<M>>(
-    inner: P,
-    sets: usize,
-    ways: usize,
-    seed: u64,
-    mut gen_meta: impl FnMut(&mut Rng64) -> M,
-) -> Vec<String> {
-    let mut p = CheckedPolicy::new(inner, sets, ways);
-    let mut rng = Rng64::new(seed);
-    let mut resident: Vec<Vec<Option<M>>> = vec![vec![None; ways]; sets];
-    for _ in 0..OPS {
-        let set = rng.index(sets);
-        let occupied: Vec<usize> = (0..ways).filter(|&w| resident[set][w].is_some()).collect();
-        let roll = rng.below(100);
-        if roll < 50 && !occupied.is_empty() {
-            let way = occupied[rng.index(occupied.len())];
-            let meta = resident[set][way].expect("way is occupied");
-            p.on_hit(set, way, &meta);
-        } else if roll < 95 {
-            let meta = gen_meta(&mut rng);
-            if occupied.len() < ways {
-                let free: Vec<usize> = (0..ways).filter(|&w| resident[set][w].is_none()).collect();
-                let way = free[rng.index(free.len())];
-                p.on_fill(set, way, &meta);
-                resident[set][way] = Some(meta);
-            } else {
-                let v = p.victim(set, &meta);
-                if v >= ways {
-                    break; // violation already recorded by the wrapper
-                }
-                Policy::<M>::on_evict(&mut p, set, v);
-                p.on_fill(set, v, &meta);
-                resident[set][v] = Some(meta);
-            }
-        } else if !occupied.is_empty() {
-            let way = occupied[rng.index(occupied.len())];
-            Policy::<M>::on_evict(&mut p, set, way);
-            resident[set][way] = None;
-        }
-    }
-    p.take_violations()
-}
-
 fn check_all<M: Copy + itpx_policy::PolicyMeta>(
     entries: &[PolicyEntry<M>],
     seed: u64,
@@ -105,7 +61,7 @@ fn check_all<M: Copy + itpx_policy::PolicyMeta>(
             if !e.supports_ways(ways) {
                 continue;
             }
-            let v = drive((e.build)(sets, ways), sets, ways, seed, gen_meta);
+            let v = drive((e.build)(sets, ways), sets, ways, OPS, seed, gen_meta);
             prop_assert!(
                 v.is_empty(),
                 "{} at {sets}x{ways}, seed {seed:#x}: {v:?}",

@@ -55,7 +55,7 @@ const FF_WARM_CAP: u64 = 250_000;
 /// A run is a schedule of segments: [`Tier::FastForward`] advances
 /// program state through the warm paths of the machine's own structures
 /// (no timing, no statistics; plus the free skip beyond
-/// [`FF_WARM_CAP`]), and [`Tier::Window`] measures cycle-accurately.
+/// `FF_WARM_CAP`), and [`Tier::Window`] measures cycle-accurately.
 /// [`Tier::segments`] lowers a [`TierSchedule`] into this form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {

@@ -18,8 +18,8 @@
 //!   tiered schedule that interleaves functional fast-forward with
 //!   cycle-accurate measurement windows.
 //! * [`functional`] — the timing-free functional machine: the difftest
-//!   reference model, promoted here so it can serve as the fast-forward
-//!   tier with warm-state handoff at every tier boundary.
+//!   reference model, which also checks the residency the fast-forward
+//!   warm path leaves in the cycle structures.
 //! * [`sim`] — the [`Simulation`] facade used by examples and the
 //!   experiment harness.
 //!

@@ -87,7 +87,7 @@ pub struct Outcome {
     pub warm_checks: usize,
     /// Metamorphic property families evaluated.
     pub metamorphic_checks: usize,
-    /// Tier-boundary handoff property families evaluated.
+    /// Tier-boundary property families evaluated.
     pub tier_checks: usize,
     /// One line per failed check; empty means everything agreed.
     pub failures: Vec<String>,

@@ -1,20 +1,19 @@
-//! Tier-boundary handoff properties for the tiered execution engine.
+//! Tier-boundary properties for the tiered execution engine.
 //!
-//! The tiered engine alternates functional fast-forward with
-//! cycle-accurate measurement windows, handing warm TLB/cache/predictor
-//! state across every boundary. Two properties pin that handoff:
+//! The tiered engine alternates untimed fast-forward, which warms the
+//! cycle machine's own TLBs, caches and predictor, with cycle-accurate
+//! measurement windows. Two properties pin the boundary between them:
 //!
 //! 1. **Degenerate exactness** — a schedule with zero fast-forward is
 //!    the flat run chopped into windows: same instructions, same cycle
 //!    stream, and (because a measurement boundary also precedes the flat
 //!    run's single window) *bit-identical* measured counters. Any
-//!    divergence means a boundary reset or handoff touched state it must
-//!    not.
+//!    divergence means a boundary reset touched state it must not.
 //! 2. **Window tolerance** — with real fast-forward gaps the windows
 //!    measure the same real instruction stream as a flat run of equal
 //!    measured length, but the warm state entering each window was built
-//!    by the functional model over a phase-forked stream. Headline rates
-//!    must therefore stay *close* to flat — a broken handoff (cold
+//!    by the fast-forward over a phase-forked stream. Headline rates
+//!    must therefore stay *close* to flat — broken warming (cold
 //!    structures, wrong recency order, lost dirty bits) shows up as a
 //!    gross rate shift long before it would fail a statistical test.
 //!
@@ -28,9 +27,9 @@ use itpx_trace::{TierSchedule, WorkloadSpec};
 use itpx_types::StructStats;
 
 /// Absolute tolerance on per-structure miss rates between a tiered run
-/// and the flat run measuring the same instructions. Warm handoff keeps
-/// the rates within a few points; a cold or corrupted handoff shifts
-/// L1I/DTLB rates by tens of points.
+/// and the flat run measuring the same instructions. A warming
+/// fast-forward keeps the rates within a few points; a cold or corrupted
+/// warm path shifts L1I/DTLB rates by tens of points.
 const RATE_TOLERANCE: f64 = 0.15;
 
 /// The workload both properties compare on: long enough that every
@@ -99,12 +98,12 @@ fn check_window_tolerance(failures: &mut Vec<String>) {
         if (fr - tr).abs() > RATE_TOLERANCE {
             failures.push(format!(
                 "tiered/tolerance: {name} miss rate {tr:.3} is more than \
-                 {RATE_TOLERANCE} from the flat run's {fr:.3} — the warm \
-                 handoff is not seeding the cycle model"
+                 {RATE_TOLERANCE} from the flat run's {fr:.3} — the \
+                 fast-forward is not warming the cycle model"
             ));
         }
     }
-    // A warm handoff keeps throughput in the same regime: a cold start
+    // A warming fast-forward keeps throughput in the same regime: a cold start
     // every window craters IPC (ratio well below 1), while a broken
     // cycle-accounting boundary inflates it wildly. The band is wide
     // because the fast-forward warming legitimately lifts window IPC

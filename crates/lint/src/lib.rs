@@ -357,7 +357,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 /// The `alloc_witness` integration test declares
 /// `#[global_allocator] static A: CountingAllocator = …`, warms every
 /// registered policy through its engine, snapshots the counters with
-/// [`CountingAllocator::snapshot`], drives 100k further accesses, and
+/// [`CountingAllocator::snapshot`](alloc_witness::CountingAllocator::snapshot), drives 100k further accesses, and
 /// asserts the counts did not move. The static analyzer claims the hot
 /// path cannot allocate; this proves the claim on the machine code that
 /// actually ran, macros, std internals, and all.

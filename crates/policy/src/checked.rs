@@ -21,6 +21,7 @@
 //! the first.
 
 use crate::traits::Policy;
+use itpx_types::{Rng64, SetGrid};
 
 /// Wraps a [`Policy`], checking the drive-protocol contract on every call.
 ///
@@ -249,6 +250,78 @@ impl<M, P: Policy<M>> Policy<M> for CheckedPolicy<P> {
         // The shadow state is a verification artifact, not hardware.
         self.inner.meta_bits(sets, ways)
     }
+}
+
+/// Drives `inner` under a [`CheckedPolicy`] through `ops` protocol-correct
+/// randomized accesses to a `sets × ways` structure and returns the
+/// violations the wrapper recorded.
+///
+/// Half the accesses hit a resident entry (re-presenting its fill
+/// metadata), most of the rest fill (a free way if the set has one, else
+/// the full victim/evict/fill protocol), and the remainder invalidate a
+/// resident entry. `gen_meta` draws each fill's metadata; the stream is a
+/// pure function of `seed`, so a failure reproduces bit for bit. Debug
+/// builds panic inside the wrapper at the first violation.
+pub fn drive<M: Copy, P: Policy<M>>(
+    inner: P,
+    sets: usize,
+    ways: usize,
+    ops: usize,
+    seed: u64,
+    mut gen_meta: impl FnMut(&mut Rng64) -> M,
+) -> Vec<String> {
+    let mut p = CheckedPolicy::new(inner, sets, ways);
+    let mut rng = Rng64::new(seed);
+    // The driver's own occupancy view; `CheckedPolicy` keeps an
+    // independent shadow and flags any disagreement with the policy.
+    let mut resident = SetGrid::new(sets, ways, None);
+    for _ in 0..ops {
+        let set = rng.index(sets);
+        let row = resident.row(set);
+        let occupied: Vec<(usize, M)> = row
+            .iter()
+            .enumerate()
+            .filter_map(|(w, m)| m.map(|m| (w, m)))
+            .collect();
+        let roll = rng.below(100);
+        if roll < 50 && !occupied.is_empty() {
+            // Hit a resident entry with its fill metadata; index(n) < n.
+            let (way, meta) = occupied[rng.index(occupied.len())];
+            p.on_hit(set, way, &meta);
+        } else if roll < 95 {
+            let meta = gen_meta(&mut rng);
+            let way = if occupied.len() < ways {
+                let free: Vec<usize> = row
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(w, m)| m.is_none().then_some(w))
+                    .collect();
+                // Fill a free way; index(n) < n.
+                let way = free[rng.index(free.len())];
+                p.on_fill(set, way, &meta);
+                way
+            } else {
+                let v = p.victim(set, &meta);
+                if v >= ways {
+                    // The wrapper has recorded the violation; stop driving
+                    // this policy rather than indexing out of range.
+                    break;
+                }
+                Policy::<M>::on_evict(&mut p, set, v);
+                p.on_fill(set, v, &meta);
+                v
+            };
+            // Both arms yield a way below `ways`.
+            resident.row_mut(set)[way] = Some(meta);
+        } else if !occupied.is_empty() {
+            // Invalidate: an eviction without a victim() request; index(n) < n.
+            let (way, _) = occupied[rng.index(occupied.len())];
+            Policy::<M>::on_evict(&mut p, set, way);
+            // `way` came from the occupied list, below `ways`.
+            resident.row_mut(set)[way] = None;
+        }
+    }
+    p.take_violations()
 }
 
 #[cfg(test)]

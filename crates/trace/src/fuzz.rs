@@ -45,10 +45,10 @@ pub enum FuzzPattern {
     /// Bursts of all four patterns interleaved.
     Mixed,
     /// One abrupt working-set migration placed *mid-trace*, with dense
-    /// straddling traffic on both sides — the shape of a tier handoff:
-    /// state warmed before the boundary must carry the first accesses
+    /// straddling traffic on both sides — the shape of a tier boundary:
+    /// state warmed before the boundary must serve the first accesses
     /// after it. The ddmin shrinker preserves the straddle when it
-    /// minimizes, so handoff bugs reduce to a few pre/post accesses.
+    /// minimizes, so boundary bugs reduce to a few pre/post accesses.
     TierBoundary,
     /// Dense reuse over a small working set whose window drifts slowly.
     /// The difftest lowering injects high-rate context switches on top,
@@ -266,7 +266,7 @@ fn writeback_storm(rng: &mut Rng64, budget: usize, out: &mut Vec<TraceInst>) {
 /// One phase shift pinned to the middle of the trace, straddled by dense
 /// revisits: the first half warms a working set, the boundary jumps to a
 /// disjoint range, and the second half keeps interleaving *both* ranges
-/// so any state dropped or duplicated at a handoff shows up as a count
+/// so any state dropped or duplicated at the boundary shows up as a count
 /// divergence immediately after the boundary.
 fn tier_boundary(rng: &mut Rng64, budget: usize, out: &mut Vec<TraceInst>) {
     const CODE_PAGES: u64 = 32;
@@ -282,8 +282,8 @@ fn tier_boundary(rng: &mut Rng64, budget: usize, out: &mut Vec<TraceInst>) {
         });
     }
     // Post-boundary: the shifted set dominates, but every few runs dips
-    // back into the warmed set — the straddling reuse a broken handoff
-    // would get wrong.
+    // back into the warmed set — the straddling reuse broken boundary
+    // warming would get wrong.
     while out.len() < budget {
         let (code, data) = if rng.chance(0.7) {
             (CODE_BASE + SHIFT, DATA_BASE + SHIFT)

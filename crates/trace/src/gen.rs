@@ -468,8 +468,7 @@ impl TraceGenerator {
     /// The fork depends only on the layout and `salt`, not on how far
     /// `self` has run.
     ///
-    /// The tiered engine uses this as the functional fast-forward's warm
-    /// stream: the synthetic source is stationary, so a phase fork is a
+    /// The tiered engine uses this as the fast-forward's warm stream: the synthetic source is stationary, so a phase fork is a
     /// distribution-faithful projection of the stream's future over the
     /// exact same virtual address space — without advancing (or paying
     /// for) the real stream the measurement windows consume.

@@ -190,8 +190,9 @@ impl Fingerprint for Profile {
 /// A SMARTS-style tiered execution schedule.
 ///
 /// After the ordinary cycle-accurate warmup, a tiered run repeats
-/// `windows` segments of (functional fast-forward of `fast_forward`
-/// instructions → cycle-accurate window of `window` instructions). The
+/// `windows` segments of (untimed fast-forward of `fast_forward`
+/// instructions, warming the cycle structures → cycle-accurate window of
+/// `window` instructions). The
 /// flat schedule (all fields zero) is the default and means "no tiering":
 /// the engine measures in one run to the target and produces
 /// byte-identical outputs to a pre-tiering build, and the flat schedule
@@ -201,7 +202,7 @@ impl Fingerprint for Profile {
 pub struct TierSchedule {
     /// Instructions per cycle-accurate measurement window.
     pub window: u64,
-    /// Instructions covered by the functional fast-forward before each
+    /// Instructions the untimed fast-forward warms through before each
     /// window (0 = windows are back-to-back).
     pub fast_forward: u64,
     /// Number of (fast-forward, window) segments.
@@ -307,7 +308,8 @@ impl SwitchPolicy {
 /// A consolidation run time-slices `tenants` independent workload streams
 /// over one core, round-robin, switching every `quantum` *produced*
 /// instructions (the schedule clock is instruction count, not cycles, so
-/// the cycle and functional tiers fire switches at identical points).
+/// measurement windows, fast-forwards and the functional reference model
+/// fire switches at identical points).
 /// Each tenant is a re-seeded instance of the spec's profile — same
 /// statistical shape, different concrete pages, like the generator's
 /// `phase_fork`. Optional cadences inject targeted TLB shootdowns and

@@ -1,6 +1,6 @@
 //! Deterministic content fingerprinting for the simulation-result cache.
 //!
-//! The campaign engine in `itpx-bench` memoizes [`SimulationOutput`]s under
+//! The campaign engine in `itpx-bench` memoizes `SimulationOutput`s under
 //! a content-addressed key: a hash over everything that determines a run's
 //! result (system configuration, policy preset, workload parameters, run
 //! lengths). That key must be identical across processes and machine

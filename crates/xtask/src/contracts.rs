@@ -1,8 +1,9 @@
 //! The policy contract checker.
 //!
 //! Drives every registered policy through a protocol-correct randomized
-//! access stream (fills, hits, evictions, invalidations) under
-//! [`itpx_policy::CheckedPolicy`], which shadows the structure's valid
+//! access stream (fills, hits, evictions, invalidations;
+//! [`itpx_policy::checked::drive`]) under [`itpx_policy::CheckedPolicy`],
+//! which shadows the structure's valid
 //! bits and records every contract violation: out-of-range victims,
 //! victims pointing at invalid ways, fills into valid ways, unpaired
 //! evictions. The stream is seeded from [`itpx_types::Rng64`], so a
@@ -14,7 +15,8 @@
 //! violations instead of panicking on the first.
 
 use itpx_core::registry;
-use itpx_policy::{CacheMeta, CheckedPolicy, Policy, TlbMeta};
+use itpx_policy::checked::drive;
+use itpx_policy::{CacheMeta, TlbMeta};
 use itpx_types::{FillClass, Rng64, ThreadId, TranslationKind};
 
 /// Geometries each policy is driven at: a small one to stress set
@@ -31,59 +33,6 @@ pub struct ContractReport {
     pub drives: usize,
     /// All recorded violations, prefixed with the geometry.
     pub violations: Vec<String>,
-}
-
-/// Drives `inner` for `ops` protocol-correct accesses and returns the
-/// violations `CheckedPolicy` recorded.
-fn drive<M: Copy, P: Policy<M>>(
-    inner: P,
-    sets: usize,
-    ways: usize,
-    ops: usize,
-    seed: u64,
-    mut gen_meta: impl FnMut(&mut Rng64) -> M,
-) -> Vec<String> {
-    let mut p = CheckedPolicy::new(inner, sets, ways);
-    let mut rng = Rng64::new(seed);
-    // The driver's own occupancy view; `CheckedPolicy` keeps an
-    // independent shadow and flags any disagreement with the policy.
-    let mut resident: Vec<Vec<Option<M>>> = vec![vec![None; ways]; sets];
-    for _ in 0..ops {
-        let set = rng.index(sets);
-        let occupied: Vec<usize> = (0..ways).filter(|&w| resident[set][w].is_some()).collect();
-        let roll = rng.below(100);
-        if roll < 50 && !occupied.is_empty() {
-            // Hit on a resident entry, re-presenting its fill metadata.
-            let way = occupied[rng.index(occupied.len())];
-            let meta = resident[set][way].expect("way is occupied");
-            p.on_hit(set, way, &meta);
-        } else if roll < 95 {
-            // Fill: free way if one exists, else the full victim protocol.
-            let meta = gen_meta(&mut rng);
-            if occupied.len() < ways {
-                let free: Vec<usize> = (0..ways).filter(|&w| resident[set][w].is_none()).collect();
-                let way = free[rng.index(free.len())];
-                p.on_fill(set, way, &meta);
-                resident[set][way] = Some(meta);
-            } else {
-                let v = p.victim(set, &meta);
-                if v >= ways {
-                    // The wrapper has recorded the violation; stop driving
-                    // this policy rather than indexing out of range.
-                    break;
-                }
-                Policy::<M>::on_evict(&mut p, set, v);
-                p.on_fill(set, v, &meta);
-                resident[set][v] = Some(meta);
-            }
-        } else if !occupied.is_empty() {
-            // Invalidation: eviction without a victim() request.
-            let way = occupied[rng.index(occupied.len())];
-            Policy::<M>::on_evict(&mut p, set, way);
-            resident[set][way] = None;
-        }
-    }
-    p.take_violations()
 }
 
 fn tlb_meta(rng: &mut Rng64) -> TlbMeta {
@@ -149,6 +98,7 @@ pub fn run() -> ContractReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use itpx_policy::Policy;
 
     /// A policy that evicts way `ways` (one past the end).
     #[derive(Debug)]
