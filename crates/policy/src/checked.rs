@@ -272,7 +272,7 @@ pub fn drive<M: Copy, P: Policy<M>>(
 ) -> Vec<String> {
     let mut p = CheckedPolicy::new(inner, sets, ways);
     let mut rng = Rng64::new(seed);
-    // The driver's own occupancy view; `CheckedPolicy` keeps an
+    // This drive's own occupancy view; `CheckedPolicy` keeps an
     // independent shadow and flags any disagreement with the policy.
     let mut resident = SetGrid::new(sets, ways, None);
     for _ in 0..ops {
