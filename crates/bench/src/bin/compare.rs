@@ -7,27 +7,20 @@
 //! ```
 
 use itpx_bench::plot::violin_panel;
-use itpx_bench::{Comparison, Distribution, Report, RunScale, Sweep};
+use itpx_bench::{Campaign, Comparison, Distribution, Report, SimRequest};
 use itpx_core::Preset;
-use itpx_cpu::{Simulation, SystemConfig};
+use itpx_cpu::SystemConfig;
 use itpx_trace::qualcomm_like_suite;
-
-fn parse_preset(name: &str) -> Option<Preset> {
-    Preset::EVALUATED
-        .into_iter()
-        .chain([Preset::ItpXptpStatic, Preset::ItpXptpEmissary])
-        .find(|p| p.name().eq_ignore_ascii_case(name))
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cand, base) = match (args.first(), args.get(1)) {
-        (Some(a), Some(b)) => match (parse_preset(a), parse_preset(b)) {
+        (Some(a), Some(b)) => match (Preset::from_name(a), Preset::from_name(b)) {
             (Some(a), Some(b)) => (a, b),
             _ => {
                 eprintln!(
                     "unknown preset; valid names: {:?}",
-                    Preset::EVALUATED.map(|p| p.name())
+                    Preset::ALL.map(Preset::name)
                 );
                 std::process::exit(1);
             }
@@ -35,25 +28,24 @@ fn main() {
         _ => (Preset::ItpXptp, Preset::Lru),
     };
 
-    let scale = RunScale::from_env();
+    let campaign = Campaign::from_env();
+    let scale = campaign.scale();
     let config = SystemConfig::asplos25();
-    let sweep = Sweep::new(scale.host_threads);
     let suite: Vec<_> = qualcomm_like_suite(scale.workloads)
         .into_iter()
         .map(|w| scale.apply(w))
         .collect();
-    let run = |preset: Preset| -> Vec<f64> {
-        sweep
-            .run(suite.clone(), |w| {
-                Simulation::single_thread(&config, preset, w).run()
-            })
-            .iter()
-            .map(|o| o.ipc())
-            .collect()
-    };
-    let base_ipc = run(base);
-    let cand_ipc = run(cand);
-    let cmp = Comparison::summarize(cand.name(), base.name(), &cand_ipc, &base_ipc);
+    let requests = [base, cand]
+        .iter()
+        .flat_map(|&p| suite.iter().map(move |w| SimRequest::single(&config, p, w)))
+        .collect();
+    let ipc: Vec<f64> = campaign
+        .run_batch(requests)
+        .iter()
+        .map(|o| o.ipc())
+        .collect();
+    let (base_ipc, cand_ipc) = ipc.split_at(suite.len());
+    let cmp = Comparison::summarize(cand.name(), base.name(), cand_ipc, base_ipc);
 
     let mut report = Report::new(format!("Compare {} vs {}", cand.name(), base.name()));
     report.line(cmp.to_string());

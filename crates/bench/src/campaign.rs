@@ -7,10 +7,6 @@
 //! baselines), and executes only the residue — one flat job list across
 //! `ITPX_THREADS` host threads with no per-column barrier.
 //!
-//! Requests with hand-built policy bundles ([`itpx_cpu::Simulation::custom`])
-//! have no stable identity and stay outside the cache; figures run those
-//! through [`crate::harness::Sweep`] directly.
-//!
 //! The cold residue of a batch is a [`WorkQueue`], resolved by one of
 //! two [`Executor`]s: the classic in-process thread pool, or the
 //! multi-process shard mode (`ITPX_SHARDS`/`ITPX_SHARD_INDEX`) where N
@@ -357,11 +353,6 @@ impl Campaign {
         &self.cache
     }
 
-    /// The sweep runner, for non-cacheable (custom-bundle) jobs.
-    pub fn sweep(&self) -> &Sweep {
-        &self.sweep
-    }
-
     /// How this campaign executes cold work.
     pub fn executor(&self) -> Executor {
         self.executor
@@ -569,6 +560,13 @@ mod tests {
         assert_eq!(base_request().key(), base_request().key());
     }
 
+    /// Keys minted before [`Preset::KeepInstr`] existed keep serving warm
+    /// caches: the value is the key this request had then.
+    #[test]
+    fn existing_keys_do_not_move() {
+        assert_eq!(base_request().key(), 0x45a4_db99_b633_bd29);
+    }
+
     #[test]
     fn every_field_changes_the_key() {
         let base = base_request().key();
@@ -600,8 +598,15 @@ mod tests {
         seen.push(r.key());
 
         // Preset and build knobs.
-        let mut r = base_request();
-        r.preset = Preset::ItpXptp;
+        for preset in [Preset::ItpXptp, Preset::KeepInstr(2), Preset::KeepInstr(8)] {
+            let mut r = base_request();
+            r.preset = preset;
+            seen.push(r.key());
+        }
+        let r = base_request().with_build(BuildConfig {
+            seed: 9,
+            ..BuildConfig::default()
+        });
         seen.push(r.key());
         let r = base_request().with_build(BuildConfig {
             llc: LlcChoice::Ship,
@@ -865,6 +870,32 @@ mod tests {
         let outs = campaign.run_batch(requests.clone());
         let want: Vec<SimulationOutput> = requests.iter().map(SimRequest::execute).collect();
         assert_eq!(outs, want);
+    }
+
+    /// The keyed keep-instructions preset simulates exactly what the
+    /// hand-built bundle of the Figure 3/4 motivation policy does.
+    #[test]
+    fn keep_instr_request_matches_its_hand_built_bundle() {
+        let config = SystemConfig::asplos25();
+        let w = smoke_workload(3);
+        let build = BuildConfig {
+            seed: 9,
+            ..BuildConfig::default()
+        };
+        let keyed = SimRequest::single(&config, Preset::KeepInstr(8), &w)
+            .with_build(build)
+            .execute();
+        let d = config.dims();
+        let bundle = itpx_core::presets::PolicyBundle {
+            stlb: itpx_policy::ProbKeepInstrLru::new(d.stlb.0, d.stlb.1, 0.8, 9).into(),
+            l2c: itpx_policy::Lru::new(d.l2c.0, d.l2c.1).into(),
+            llc: itpx_policy::Lru::new(d.llc.0, d.llc.1).into(),
+            monitor: None,
+        };
+        let mut custom =
+            Simulation::custom(&config, bundle, "custom", std::slice::from_ref(&w)).run();
+        custom.preset = keyed.preset.clone();
+        assert_eq!(keyed, custom);
     }
 
     #[test]

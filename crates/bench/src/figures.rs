@@ -16,11 +16,10 @@ use crate::csv::CsvSink;
 use crate::harness::RunScale;
 use crate::plot::violin_panel;
 use crate::report::{Distribution, Report};
-use itpx_core::presets::{BuildConfig, LlcChoice, PolicyBundle};
+use itpx_core::presets::{BuildConfig, LlcChoice};
 use itpx_core::{ItpParams, Preset, XptpParams};
-use itpx_cpu::{Simulation, SimulationOutput, SystemConfig};
+use itpx_cpu::{SimulationOutput, SystemConfig};
 use itpx_mem::HierarchyConfig;
-use itpx_policy::{Lru, ProbKeepInstrLru};
 use itpx_trace::{
     qualcomm_like_suite, smt_suite, spec_like_suite, ContextSchedule, SwitchPolicy, WorkloadSpec,
 };
@@ -112,8 +111,8 @@ pub fn by_name(name: &str) -> Option<&'static Figure> {
 /// The ITLB sizes swept by Figure 1.
 pub const FIG1_ITLB_SIZES: [usize; 5] = [8, 64, 128, 512, 1024];
 
-/// The keep-instruction probabilities of Figure 3.
-pub const FIG3_PROBABILITIES: [f64; 4] = [0.2, 0.4, 0.6, 0.8];
+/// The keep-instruction probabilities of Figure 3, in tenths.
+pub const FIG3_TENTHS: [u8; 4] = [2, 4, 6, 8];
 
 /// The ITLB sizes of Figure 12.
 pub const FIG12_ITLB_SIZES: [usize; 4] = [1024, 512, 128, 64];
@@ -394,36 +393,31 @@ pub fn fig02(campaign: &Campaign) -> Report {
     report
 }
 
-/// The STLB keeps instructions over data with probability `p`; the
-/// caches stay LRU.
-fn prob_bundle(config: &SystemConfig, p: f64, seed: u64) -> PolicyBundle {
-    let d = config.dims();
-    PolicyBundle {
-        stlb: ProbKeepInstrLru::new(d.stlb.0, d.stlb.1, p, seed).into(),
-        l2c: Lru::new(d.l2c.0, d.l2c.1).into(),
-        llc: Lru::new(d.llc.0, d.llc.1).into(),
-        monitor: None,
-    }
-}
-
-/// Runs `prob_bundle(p)` over the single-thread `suite` on the
-/// campaign's sweep, outside the cache: hand-built bundles have no
-/// stable cache identity.
-fn keep_instr_runs(
-    campaign: &Campaign,
-    suite: &[SimUnit],
-    p: f64,
-    salt: u64,
-    label: &str,
-) -> Outputs {
-    let config = SystemConfig::asplos25();
-    campaign.sweep().run(suite.to_vec(), |unit| {
-        let SimUnit::Single(w) = unit else {
-            unreachable!("the server suite is single-thread")
-        };
-        let bundle = prob_bundle(&config, p, w.seed ^ salt);
-        Simulation::custom(&config, bundle, label, std::slice::from_ref(w)).run()
-    })
+/// The keep-instructions STLB at P = `tenths` / 10 over the single-thread
+/// `suite`, as one batch of one block per workload: each seeds its coin
+/// with the workload's seed salted by `salt`.
+fn keep_instr_batch(campaign: &Campaign, suite: &[SimUnit], tenths: u8, salt: u64) -> Outputs {
+    let blocks = suite
+        .chunks(1)
+        .map(|unit| {
+            let [SimUnit::Single(w)] = unit else {
+                unreachable!("the server suite is single-thread")
+            };
+            let build = BuildConfig {
+                seed: w.seed ^ salt,
+                ..BuildConfig::default()
+            };
+            let preset = Preset::KeepInstr(tenths);
+            (
+                (),
+                Block::new(unit, SystemConfig::asplos25(), preset).build(build),
+            )
+        })
+        .collect();
+    batch(campaign, blocks)
+        .into_iter()
+        .flat_map(|(_, outs)| outs)
+        .collect()
 }
 
 /// Figure 3: probabilistic keep-instructions LRU vs LRU.
@@ -434,10 +428,10 @@ pub fn fig03(campaign: &Campaign) -> Report {
     report.line("");
     let suite = server(campaign.scale());
     let base = lru_batch(campaign, &suite);
-    for p in FIG3_PROBABILITIES {
-        let outs = keep_instr_runs(campaign, &suite, p, 0x9, &format!("P={p}"));
+    for tenths in FIG3_TENTHS {
+        let outs = keep_instr_batch(campaign, &suite, tenths, 0x9);
         report.row(
-            format!("P = {p:.1}"),
+            format!("P = {:.1}", f64::from(tenths) / 10.0),
             format!("geomean {}", pct(uplift(&base, &outs))),
         );
     }
@@ -451,7 +445,7 @@ pub fn fig04(campaign: &Campaign) -> Report {
     report.line("");
     let suite = server(campaign.scale());
     let lru = lru_batch(campaign, &suite);
-    let keep = keep_instr_runs(campaign, &suite, 0.8, 0x4, "KeepInstr(P=0.8)");
+    let keep = keep_instr_batch(campaign, &suite, 8, 0x4);
     let l2c = SimulationOutput::l2c_breakdown as fn(&SimulationOutput) -> MpkiBreakdown;
     for (level, breakdown) in [("L2C", l2c), ("LLC", SimulationOutput::llc_breakdown)] {
         for (policy, outs) in [("LRU", &lru), ("KeepInstr(P=0.8)", &keep)] {

@@ -1,6 +1,5 @@
 //! Parallel sweep machinery shared by all figure reproductions.
 
-use itpx_cpu::SimulationOutput;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How big an experiment run should be.
@@ -104,15 +103,6 @@ impl Sweep {
     /// Threads a sweep of `jobs` jobs runs on.
     pub fn workers(&self, jobs: usize) -> usize {
         self.host_threads.min(jobs.max(1))
-    }
-
-    /// Maps `jobs` through `f` in parallel, returning results in job order.
-    pub fn run<J, F>(&self, jobs: Vec<J>, f: F) -> Vec<SimulationOutput>
-    where
-        J: Send + Sync,
-        F: Fn(&J) -> SimulationOutput + Sync,
-    {
-        self.run_generic(jobs, f)
     }
 
     /// Generic parallel map preserving input order.

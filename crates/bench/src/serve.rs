@@ -374,11 +374,8 @@ const MAX_SIM_INSTRUCTIONS: u64 = 10_000_000_000;
 /// 400 before anything runs or reaches the store.
 fn serve_sim(query: &str, campaign: &Campaign) -> (u16, String) {
     let params = parse_query(query);
-    let Some(preset) = params.get("preset").and_then(|p| preset_by_alias(p)) else {
-        let known: Vec<String> = Preset::EVALUATED
-            .iter()
-            .map(|p| p.name().to_string())
-            .collect();
+    let Some(preset) = params.get("preset").and_then(|p| Preset::from_name(p)) else {
+        let known = Preset::ALL.map(Preset::name);
         return (
             400,
             format!("need preset=<name>; one of: {}\n", known.join(", ")),
@@ -475,22 +472,6 @@ fn percent_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// Matches a preset by case-and-punctuation-insensitive name
-/// (`itp+xptp`, `iTP%2BxPTP`, and `itpxptp` all resolve the same).
-fn preset_by_alias(raw: &str) -> Option<Preset> {
-    let strip = |s: &str| -> String {
-        s.chars()
-            .filter(|c| c.is_ascii_alphanumeric())
-            .map(|c| c.to_ascii_lowercase())
-            .collect()
-    };
-    let wanted = strip(raw);
-    Preset::EVALUATED
-        .into_iter()
-        .chain([Preset::ItpXptpStatic, Preset::ItpXptpEmissary])
-        .find(|p| strip(p.name()) == wanted)
-}
-
 /// Parses `server:<seed>` / `spec:<seed>` workload selectors.
 fn parse_workload(raw: &str) -> Option<WorkloadSpec> {
     let (family, seed) = raw.split_once(':')?;
@@ -534,15 +515,6 @@ mod tests {
         assert_eq!(q["preset"], "iTP+xPTP");
         assert_eq!(q["workload"], "server:3");
         assert_eq!(q["x"], "a b");
-    }
-
-    #[test]
-    fn preset_aliases_are_forgiving() {
-        assert_eq!(preset_by_alias("iTP+xPTP"), Some(Preset::ItpXptp));
-        assert_eq!(preset_by_alias("itpxptp"), Some(Preset::ItpXptp));
-        assert_eq!(preset_by_alias("LRU"), Some(Preset::Lru));
-        assert_eq!(preset_by_alias("chirp-tdrrip"), Some(Preset::ChirpTdrrip));
-        assert_eq!(preset_by_alias("nonsense"), None);
     }
 
     #[test]

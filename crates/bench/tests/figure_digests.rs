@@ -24,8 +24,8 @@ const PINNED: &[(&str, u64, u64)] = &[
     ("calibrate", 0xac26125f99c2c752, 4),
     ("fig01", 0xe39847d94c3e23b2, 20),
     ("fig02", 0x3affaea30ed69a9c, 4),
-    ("fig03", 0x2a7f92206266a511, 2),
-    ("fig04", 0x44805f1520ec993c, 2),
+    ("fig03", 0x2a7f92206266a511, 10),
+    ("fig04", 0x44805f1520ec993c, 4),
     ("fig08", 0x316a3c8ba7efff9f, 30),
     ("fig09", 0xbb79960f680b33cb, 30),
     ("fig11", 0x3d6fc8ec55398735, 27),

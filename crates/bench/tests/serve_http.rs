@@ -2,6 +2,7 @@
 //! real campaign behind it, warm requests byte-identical to cold ones.
 
 use itpx_bench::{serve, Campaign, RunScale, SimCache};
+use itpx_core::Preset;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -86,6 +87,9 @@ fn server_serves_figures_sims_and_metrics() {
     assert_eq!(sim_again, sim, "warm sim must be byte-identical");
     let (status, bad) = get(addr, "/sim?preset=bogus&workload=server:1");
     assert_eq!(status, 400, "bogus preset must 400: {bad}");
+    for name in Preset::ALL.map(Preset::name) {
+        assert!(bad.contains(name), "the 400 must list {name}: {bad}");
+    }
     // Lengths whose sum wraps, or that would run for days, are refused
     // before anything runs or is stored.
     let (status, bad) = get(

@@ -9,7 +9,9 @@
 use crate::adaptive::{StlbPressureMonitor, XptpSwitch};
 use crate::itp::{Itp, ItpParams};
 use crate::xptp::{Xptp, XptpParams};
-use itpx_policy::{CachePolicyEngine, Chirp, Drrip, Lru, Mockingjay, Ptp, Ship, TlbPolicyEngine};
+use itpx_policy::{
+    CachePolicyEngine, Chirp, Drrip, Lru, Mockingjay, ProbKeepInstrLru, Ptp, Ship, TlbPolicyEngine,
+};
 use itpx_types::fingerprint::{Fingerprint, Fnv1a};
 
 /// One row of the paper's Table 2: the (STLB policy, L2C policy) pair.
@@ -43,6 +45,10 @@ pub enum Preset {
     /// the extension the paper's Section 7 conjectures (not a Table 2
     /// row; see [`Xptp::with_emissary`]).
     ItpXptpEmissary,
+    /// The Figure 3/4 motivation STLB: keeps instructions over data with
+    /// probability P, given in tenths, drawing from [`BuildConfig::seed`];
+    /// LRU at the caches. Built in code only: no name resolves to it.
+    KeepInstr(u8),
 }
 
 impl Preset {
@@ -61,6 +67,37 @@ impl Preset {
         Preset::ItpXptp,
     ];
 
+    /// Every preset a name resolves to: [`Preset::EVALUATED`] and the two
+    /// iTP+xPTP variants.
+    pub const ALL: [Preset; 12] = [
+        Preset::Lru,
+        Preset::Tdrrip,
+        Preset::Ptp,
+        Preset::Chirp,
+        Preset::ChirpTdrrip,
+        Preset::ChirpPtp,
+        Preset::Itp,
+        Preset::ItpTdrrip,
+        Preset::ItpPtp,
+        Preset::ItpXptp,
+        Preset::ItpXptpStatic,
+        Preset::ItpXptpEmissary,
+    ];
+
+    /// The preset of [`Preset::ALL`] named `raw`, ignoring case and
+    /// non-alphanumerics (`iTP+xPTP`, `itp-xptp` and `itpxptp` all
+    /// resolve the same).
+    pub fn from_name(raw: &str) -> Option<Preset> {
+        let strip = |s: &str| -> String {
+            s.chars()
+                .filter(char::is_ascii_alphanumeric)
+                .map(|c| c.to_ascii_lowercase())
+                .collect()
+        };
+        let wanted = strip(raw);
+        Preset::ALL.into_iter().find(|p| strip(p.name()) == wanted)
+    }
+
     /// Stable display name matching the paper's figures.
     pub fn name(self) -> &'static str {
         match self {
@@ -76,6 +113,7 @@ impl Preset {
             Preset::ItpXptp => "iTP+xPTP",
             Preset::ItpXptpStatic => "iTP+xPTP(static)",
             Preset::ItpXptpEmissary => "iTP+xPTP+E",
+            Preset::KeepInstr(_) => "KeepInstr",
         }
     }
 
@@ -105,10 +143,15 @@ impl Preset {
             | Preset::ItpXptp
             | Preset::ItpXptpStatic
             | Preset::ItpXptpEmissary => Itp::new(ss, sw, cfg.itp).into(),
+            Preset::KeepInstr(t) => {
+                ProbKeepInstrLru::new(ss, sw, f64::from(t) / 10.0, cfg.seed).into()
+            }
         };
         let mut monitor = None;
         let l2c: CachePolicyEngine = match self {
-            Preset::Lru | Preset::Chirp | Preset::Itp => Lru::new(ls, lw).into(),
+            Preset::Lru | Preset::Chirp | Preset::Itp | Preset::KeepInstr(_) => {
+                Lru::new(ls, lw).into()
+            }
             Preset::Tdrrip | Preset::ChirpTdrrip | Preset::ItpTdrrip => {
                 Drrip::translation_aware(ls, lw, cfg.seed ^ 0x7d2).into()
             }
@@ -181,6 +224,9 @@ impl Fingerprint for Preset {
     fn fingerprint(&self, h: &mut Fnv1a) {
         // The stable display name doubles as the cache-key identity.
         h.write_str(self.name());
+        if let Preset::KeepInstr(t) = self {
+            h.write_u8(*t);
+        }
     }
 }
 
@@ -215,7 +261,8 @@ pub struct BuildConfig {
     pub t1: u64,
     /// LLC replacement policy.
     pub llc: LlcChoice,
-    /// Seed for stochastic policies (BRRIP's bimodal throttle).
+    /// Seed for stochastic policies (BRRIP's bimodal throttle, the
+    /// keep-instructions STLB's coin of [`Preset::KeepInstr`]).
     pub seed: u64,
 }
 
@@ -279,7 +326,7 @@ mod tests {
     #[test]
     fn table2_policy_names_per_structure() {
         let cfg = BuildConfig::default();
-        let cases: [(Preset, &str, &str); 10] = [
+        let cases: [(Preset, &str, &str); 11] = [
             (Preset::Lru, "lru", "lru"),
             (Preset::Tdrrip, "lru", "tdrrip"),
             (Preset::Ptp, "lru", "ptp"),
@@ -290,6 +337,7 @@ mod tests {
             (Preset::ItpTdrrip, "itp", "tdrrip"),
             (Preset::ItpPtp, "itp", "ptp"),
             (Preset::ItpXptp, "itp", "xptp/lru"),
+            (Preset::KeepInstr(8), "prob-keep-instr-lru", "lru"),
         ];
         for (preset, stlb, l2c) in cases {
             let b = preset.build(&dims(), &cfg);
@@ -302,7 +350,7 @@ mod tests {
     #[test]
     fn only_itp_xptp_gets_a_monitor() {
         let cfg = BuildConfig::default();
-        for p in Preset::EVALUATED {
+        for p in Preset::ALL.into_iter().chain([Preset::KeepInstr(8)]) {
             let b = p.build(&dims(), &cfg);
             assert_eq!(b.monitor.is_some(), p == Preset::ItpXptp, "{p}");
         }
@@ -344,6 +392,7 @@ mod tests {
         assert_eq!(Preset::EVALUATED.len(), 10);
         assert_eq!(Preset::EVALUATED[0], Preset::Lru);
         assert_eq!(Preset::EVALUATED[9], Preset::ItpXptp);
+        assert_eq!(Preset::ALL[..10], Preset::EVALUATED);
     }
 
     #[test]
@@ -352,6 +401,18 @@ mod tests {
         assert!(Preset::Itp.uses_itp());
         assert!(!Preset::Chirp.uses_itp());
         assert!(!Preset::Lru.uses_itp());
+    }
+
+    #[test]
+    fn every_name_round_trips_and_keep_instr_has_none() {
+        for p in Preset::ALL {
+            assert_eq!(Preset::from_name(p.name()), Some(p));
+        }
+        assert_eq!(Preset::from_name("itp-xptp"), Some(Preset::ItpXptp));
+        assert_eq!(Preset::from_name("itpxptp"), Some(Preset::ItpXptp));
+        assert_eq!(Preset::from_name("chirp-tdrrip"), Some(Preset::ChirpTdrrip));
+        assert_eq!(Preset::from_name("keepinstr"), None);
+        assert_eq!(Preset::from_name("nonsense"), None);
     }
 
     #[test]

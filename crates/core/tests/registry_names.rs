@@ -77,11 +77,7 @@ fn engine_covers_registry() {
 fn preset_table_builds_only_registered_policies() {
     let tlb_names: BTreeSet<&str> = tlb_policies().iter().map(|e| e.name).collect();
     let cache_names: BTreeSet<&str> = cache_policies().iter().map(|e| e.name).collect();
-    let presets = [
-        Preset::EVALUATED.as_slice(),
-        &[Preset::ItpXptpStatic, Preset::ItpXptpEmissary],
-    ]
-    .concat();
+    let presets = [Preset::ALL.as_slice(), &[Preset::KeepInstr(8)]].concat();
     for llc in [
         LlcChoice::Lru,
         LlcChoice::Ship,

@@ -110,9 +110,9 @@ impl Simulation {
         }
     }
 
-    /// A run with hand-built policies (used for the Figure 3 motivation
-    /// policies and ablations); `label` names the configuration in the
-    /// output.
+    /// A run with hand-built policies (see `examples/custom_policy.rs`);
+    /// `label` names the configuration in the output. Its results are not
+    /// keyed, so campaigns never cache them.
     pub fn custom(
         config: &SystemConfig,
         bundle: PolicyBundle,

@@ -34,6 +34,21 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// `.rs` files under `dir`, recursively.
+fn count_rs_files(dir: &Path) -> usize {
+    fs::read_dir(dir)
+        .expect("lint root exists")
+        .map(|e| e.expect("readable entry").path())
+        .map(|p| {
+            if p.is_dir() {
+                count_rs_files(&p)
+            } else {
+                usize::from(p.extension().is_some_and(|e| e == "rs"))
+            }
+        })
+        .sum()
+}
+
 /// `line:col rule` lines for one fixture, in report order.
 fn actual_lines(report: &itpx_lint::Report) -> Vec<String> {
     report
@@ -67,8 +82,21 @@ fn ast_engine_reports_a_clean_tree() {
             .join("\n")
     );
     // A scoping bug that silently dropped files or roots would also
-    // "pass"; pin the breadth of the run.
-    assert!(report.files_scanned >= 82, "file set collapsed");
+    // "pass"; every `.rs` file under the roots the run walks must count.
+    let roots = itpx_lint::LINTED_CRATES
+        .iter()
+        .map(|c| format!("crates/{c}/src"))
+        .chain(
+            itpx_lint::LAYERING_EXTRA_ROOTS
+                .iter()
+                .map(|r| r.to_string()),
+        );
+    let on_disk: usize = roots.map(|r| count_rs_files(&repo_root().join(r))).sum();
+    assert!(
+        report.files_scanned >= on_disk,
+        "file set collapsed: {} scanned, {on_disk} under the roots",
+        report.files_scanned
+    );
     assert!(report.hot_fns >= 150, "hot-path call graph collapsed");
 }
 

@@ -22,13 +22,6 @@ use itpx_trace::suites::smt_suite;
 use itpx_vm::HugePagePolicy;
 use std::process::ExitCode;
 
-fn parse_preset(name: &str) -> Option<Preset> {
-    Preset::EVALUATED
-        .into_iter()
-        .chain([Preset::ItpXptpStatic, Preset::ItpXptpEmissary])
-        .find(|p| p.name().eq_ignore_ascii_case(name))
-}
-
 #[derive(Debug)]
 struct Args {
     preset: Preset,
@@ -78,8 +71,8 @@ fn parse(mut argv: std::env::Args) -> Result<(String, Args), String> {
         match flag.as_str() {
             "--preset" => {
                 let v = value("--preset")?;
-                args.preset =
-                    parse_preset(&v).ok_or(format!("unknown preset {v}; see `itpx presets`"))?;
+                args.preset = Preset::from_name(&v)
+                    .ok_or(format!("unknown preset {v}; see `itpx presets`"))?;
             }
             "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
             "--pair" => args.pair = value("--pair")?.parse().map_err(|e| format!("{e}"))?,
@@ -192,10 +185,7 @@ fn main() -> ExitCode {
     };
     match cmd.as_str() {
         "presets" => {
-            for p in Preset::EVALUATED
-                .into_iter()
-                .chain([Preset::ItpXptpStatic, Preset::ItpXptpEmissary])
-            {
+            for p in Preset::ALL {
                 println!("{}", p.name());
             }
             ExitCode::SUCCESS

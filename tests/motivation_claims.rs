@@ -55,21 +55,18 @@ fn bigger_itlbs_reduce_instruction_translation_cost() {
 #[test]
 fn finding3_keeping_instructions_raises_data_walk_cache_pressure() {
     // Figure 4: an instruction-prioritizing STLB raises dtMPKI at the L2C.
-    use itpx_core::presets::PolicyBundle;
-    use itpx_policy::{Lru, ProbKeepInstrLru};
+    use itpx_core::presets::BuildConfig;
     let cfg = SystemConfig::asplos25();
     let w = WorkloadSpec::server_like(4)
         .instructions(INSTR)
         .warmup(WARMUP);
-    let d = cfg.dims();
-    let bundle = PolicyBundle {
-        stlb: ProbKeepInstrLru::new(d.stlb.0, d.stlb.1, 0.8, 9).into(),
-        l2c: Lru::new(d.l2c.0, d.l2c.1).into(),
-        llc: Lru::new(d.llc.0, d.llc.1).into(),
-        monitor: None,
-    };
     let base = run(&cfg, Preset::Lru, &w);
-    let keep = Simulation::custom(&cfg, bundle, "keep", std::slice::from_ref(&w)).run();
+    let keep = Simulation::single_thread(&cfg, Preset::KeepInstr(8), &w)
+        .build_config(BuildConfig {
+            seed: 9,
+            ..BuildConfig::default()
+        })
+        .run();
     // Data STLB misses (and hence data page walks) must not decrease.
     assert!(
         keep.stlb_breakdown().data >= base.stlb_breakdown().data * 0.98,
