@@ -7,8 +7,9 @@
 //! every value the structure returns, then its final residency over the
 //! whole key pool and its counters, into an FNV-1a digest. The last rows
 //! digest the whole output of one tiered four-tenant `FlushAsid` run
-//! under LRU and iTP+xPTP, since no golden pins the fast-forward or the
-//! invalidation paths of a full simulation.
+//! under LRU and iTP+xPTP, without and with huge-page churn, since no
+//! golden pins the fast-forward or the invalidation paths of a full
+//! simulation.
 //!
 //! The table pins observable behavior, not layout: any rewrite of the
 //! structures' storage must leave it unchanged. On a mismatch the test
@@ -43,6 +44,8 @@ const EXPECTED: &[Row] = &[
     ("pscs", 0x4bc335f8b51a5edd),
     ("tiered tenants lru", 0xa8213fa1a44f1df2),
     ("tiered tenants itp+xptp", 0x9eb133912c9248e8),
+    ("tiered tenants churn lru", 0x18f7beefd5a470fe),
+    ("tiered tenants churn itp+xptp", 0xd69ce56838e78b28),
 ];
 
 /// Folds the `Debug` rendering of every observed value into one digest.
@@ -256,17 +259,20 @@ fn drive_pscs(seed: u64) -> u64 {
     d.finish()
 }
 
-/// Four flushing tenants with shootdowns on a tiered schedule: every
+/// The tiered rows' schedule: four flushing tenants with shootdowns.
+fn tenants() -> ContextSchedule {
+    ContextSchedule::round_robin(4, 4_000, SwitchPolicy::FlushAsid).shootdowns(1_500)
+}
+
+/// Four tenants on a tiered schedule under `contexts`: every
 /// fast-forward warms the whole translation and cache state, and every
 /// quantum flushes an address space.
-fn tiered_tenants(preset: Preset) -> u64 {
+fn tiered_tenants(preset: Preset, contexts: ContextSchedule) -> u64 {
     let cfg = SystemConfig::asplos25();
     let w = WorkloadSpec::server_like(11)
         .warmup(5_000)
         .tiers(TierSchedule::tiered(5_000, 20_000, 4))
-        .contexts(
-            ContextSchedule::round_robin(4, 4_000, SwitchPolicy::FlushAsid).shootdowns(1_500),
-        );
+        .contexts(contexts);
     let out = Simulation::single_thread(&cfg, preset, &w).run();
     let mut d = Digest::new();
     d.see(&out);
@@ -309,8 +315,21 @@ fn measure() -> Vec<Row> {
         ("cache l2c xptp", drive_cache(cache(l2c, xptp), 4)),
         ("cache llc ship", drive_cache(cache(llc, ship), 5)),
         ("pscs", drive_pscs(6)),
-        ("tiered tenants lru", tiered_tenants(Preset::Lru)),
-        ("tiered tenants itp+xptp", tiered_tenants(Preset::ItpXptp)),
+        ("tiered tenants lru", tiered_tenants(Preset::Lru, tenants())),
+        (
+            "tiered tenants itp+xptp",
+            tiered_tenants(Preset::ItpXptp, tenants()),
+        ),
+        // Huge-page churn on top: region invalidations inside the warm
+        // tails as well as the windows.
+        (
+            "tiered tenants churn lru",
+            tiered_tenants(Preset::Lru, tenants().churn(2_500)),
+        ),
+        (
+            "tiered tenants churn itp+xptp",
+            tiered_tenants(Preset::ItpXptp, tenants().churn(2_500)),
+        ),
     ]
 }
 
