@@ -1,11 +1,13 @@
 //! How many threads a run starts: one instruction-supply thread, shared
-//! by the pipe's stream, the parked tenant streams and every
-//! fast-forward fork, and joined before `run` returns.
+//! by the pipe's stream and the parked tenant streams, plus one
+//! warm-stage producer thread per fast-forward segment (which draws its
+//! phase forks itself, not from the supply). All of them are joined
+//! before `run` returns.
 //!
 //! The thread counters are process-wide, so this binary holds one test.
 
 use itpx_core::Preset;
-use itpx_cpu::{Simulation, SystemConfig};
+use itpx_cpu::{Engine, Simulation, SystemConfig};
 use itpx_trace::{
     ContextSchedule, SmtCategory, SmtPairSpec, Supply, SwitchPolicy, TierSchedule, WorkloadSpec,
 };
@@ -25,25 +27,41 @@ fn a_run_starts_one_supply_thread_and_joins_it() {
             .instructions(3_000),
         category: SmtCategory::Relaxed,
     };
-    for (what, sim) in [
+    for (what, sim, segments) in [
         (
             "tiered four-tenant",
             Simulation::single_thread(&cfg, Preset::ItpXptp, &tiered_tenants),
+            12,
         ),
-        ("flat", Simulation::single_thread(&cfg, Preset::Lru, &flat)),
-        ("SMT", Simulation::smt(&cfg, Preset::Lru, &pair)),
+        (
+            "flat",
+            Simulation::single_thread(&cfg, Preset::Lru, &flat),
+            0,
+        ),
+        ("SMT", Simulation::smt(&cfg, Preset::Lru, &pair), 0),
     ] {
         let started = Supply::threads_started();
+        let warm_started = Engine::warm_threads_started();
         sim.run();
         assert_eq!(
             Supply::threads_started() - started,
             1,
-            "{what}: threads started"
+            "{what}: supply threads started"
         );
         assert_eq!(
             Supply::threads_running(),
             0,
             "{what}: a supply thread outlived its run"
+        );
+        assert_eq!(
+            Engine::warm_threads_started() - warm_started,
+            segments,
+            "{what}: warm-stage threads started"
+        );
+        assert_eq!(
+            Engine::warm_threads_running(),
+            0,
+            "{what}: a warm-stage thread outlived its run"
         );
     }
 }

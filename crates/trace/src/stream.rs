@@ -128,7 +128,7 @@ struct Shared {
 }
 
 struct State {
-    /// Registered streams by id; `None` marks a free id.
+    /// Registered streams by id; `None` marks a dropped stream's.
     slots: Vec<Option<Slot>>,
     /// Empty chunk buffers.
     pool: Vec<Vec<TraceInst>>,
@@ -331,16 +331,8 @@ impl Supply {
             failed: None,
         };
         let mut state = self.shared.lock();
-        let id = match state.slots.iter().position(Option::is_none) {
-            Some(free) => {
-                state.slots[free] = Some(slot);
-                free
-            }
-            None => {
-                state.slots.push(Some(slot));
-                state.slots.len() - 1
-            }
-        };
+        state.slots.push(Some(slot));
+        let id = state.slots.len() - 1;
         SupplyStream {
             chunk: Vec::new(),
             pos: 0,

@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 
 const CHUNKS: [usize; 4] = [1, 7, SUPPLY_CHUNK, 4096];
 
-/// Every generator the engine registers: live streams of both profiles,
-/// tenant streams and phase forks.
+/// Generators of every kind: live streams of both profiles, tenant
+/// streams and phase forks.
 fn generators() -> Vec<(String, TraceGenerator)> {
     let server = TraceGenerator::new(&WorkloadSpec::server_like(3));
     let mut out = vec![
@@ -82,9 +82,10 @@ fn a_stream_continues_a_partly_run_source() {
     }
 }
 
-/// Streams mounted and parked in the engine's pattern: one tenant at a
-/// time for a quantum announced exactly, plus forks mounted for a warm
-/// tail, all on one supply. Every stream must match its inline source,
+/// Streams mounted and parked in the engine's pattern, one tenant at a
+/// time for a quantum announced exactly, plus short-lived fork streams
+/// registered between quanta and dropped at or before the end of their
+/// mount, all on one supply. Every stream must match its inline source,
 /// and none may hold an instruction generated past its mount.
 #[test]
 fn mount_and_park_interleavings_stay_exact() {
@@ -113,8 +114,8 @@ fn mount_and_park_interleavings_stay_exact() {
             }
             streams[t].mount(0);
             if round % 9 == 0 {
-                // A fast-forward: forks at the extreme salts, each mounted
-                // for its tail and dropped part-way through it too.
+                // Forks at the extreme salts, each mounted for a stretch
+                // and dropped at its end or one short of it.
                 for salt in [0, 1, u64::MAX] {
                     let mut inline_fork = server.phase_fork(salt);
                     let tail = rng.range(1, 2 * SUPPLY_CHUNK as u64);
