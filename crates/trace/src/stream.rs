@@ -20,6 +20,7 @@ pub trait InstructionStream: std::fmt::Debug + Send {
 }
 
 impl InstructionStream for TraceGenerator {
+    #[inline]
     fn next_inst(&mut self) -> TraceInst {
         // the Iterator impl below always returns Some
         self.next().expect("generator is infinite")
