@@ -17,7 +17,7 @@
 
 use crate::address_space::AddressSpace;
 use crate::psc::SplitPscs;
-use crate::tlb::{LastLevelTlb, Tlb, TlbLookup};
+use crate::tlb::{Entry, LastLevelTlb, Tlb, TlbLookup};
 use crate::walker::{psc_walk, PageWalker, PteMemory};
 use itpx_types::{Asid, Cycle, PhysAddr, ThreadId, TranslationKind, VirtAddr};
 
@@ -153,6 +153,14 @@ impl TranslationPath {
     /// hooks, with no time, no statistics, no MSHR and no walk register.
     /// Each page-walk reference goes to `pte`. Returns the physical
     /// address and whether the STLB missed.
+    ///
+    /// Only a walk reads `space`: an STLB hit fills the first level from
+    /// the STLB's entry. That equals the page table's translation, and
+    /// skipping it allocates nothing, because an STLB entry visible under
+    /// the current ASID was filled from `space` (threads translate
+    /// disjoint virtual pages), a mapped page keeps its translation until
+    /// churn flips its region, churn invalidates the region in every TLB
+    /// level, and whether a region is global depends on its address only.
     pub fn warm_translate(
         &mut self,
         space: &mut AddressSpace,
@@ -167,19 +175,23 @@ impl TranslationPath {
         } else {
             &mut self.dtlb
         };
-        if let Some(pa) = l1.warm_lookup(va, kind, pc, thread) {
-            return (pa, false);
+        if let Some(e) = l1.warm_lookup(va, kind, pc, thread) {
+            return (e.pa(va), false);
         }
-        let tr = space.translate(va, kind);
         let s = self.stlb.for_kind(kind);
-        let stlb_miss = s.warm_lookup(va, kind, pc, thread).is_none();
-        if stlb_miss {
-            let (_, steps) = psc_walk(&tr, &mut self.pscs);
-            steps.iter().for_each(|&(_, pa)| pte(pa));
-            s.warm_fill(&tr, kind, pc, thread);
-        }
-        l1.warm_fill(&tr, kind, pc, thread);
-        (tr.pa, stlb_miss)
+        let (e, stlb_miss) = match s.warm_lookup(va, kind, pc, thread) {
+            Some(e) => (e, false),
+            None => {
+                let tr = space.translate(va, kind);
+                let (_, steps) = psc_walk(&tr, &mut self.pscs);
+                steps.iter().for_each(|&(_, pa)| pte(pa));
+                let e = Entry::warm(&tr);
+                s.warm_fill(e, kind, pc, thread);
+                (e, true)
+            }
+        };
+        l1.warm_fill(e, kind, pc, thread);
+        (e.pa(va), stlb_miss)
     }
 
     /// The settle step at the end of a fast-forward: every TLB level

@@ -47,8 +47,11 @@ impl Fingerprint for TlbConfig {
     }
 }
 
+/// A resident translation. The warm path hands a hit entry from one
+/// TLB level to the fill of the next ([`Tlb::warm_lookup`],
+/// [`Tlb::warm_fill`]).
 #[derive(Debug, Clone, Copy)]
-struct Entry {
+pub(crate) struct Entry {
     vpn: u64,
     size: PageSize,
     frame: PhysAddr,
@@ -59,6 +62,24 @@ struct Entry {
     /// Cycle at which the entry's fill completes; lookups before this wait
     /// for it (the timing an MSHR merge produces).
     ready: Cycle,
+}
+
+impl Entry {
+    /// The entry a warm fill installs for `tr`: usable at once.
+    pub(crate) fn warm(tr: &Translation) -> Self {
+        Self {
+            vpn: tr.vpn,
+            size: tr.size,
+            frame: tr.frame,
+            asid: tr.asid,
+            ready: 0,
+        }
+    }
+
+    /// The physical address of `va`, which the entry translates.
+    pub(crate) fn pa(&self, va: VirtAddr) -> PhysAddr {
+        self.frame.offset(va.page_offset(self.size))
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -225,17 +246,16 @@ impl Tlb {
     }
 
     /// [`Tlb::lookup`] on a fast-forward's warm path: the same policy
-    /// hook on a hit, no time and no statistics. Returns the physical
-    /// address of `va` on a hit.
+    /// hook on a hit, no time and no statistics. Returns the entry that
+    /// translates `va` on a hit.
     pub(crate) fn warm_lookup(
         &mut self,
         va: VirtAddr,
         kind: TranslationKind,
         pc: u64,
         thread: ThreadId,
-    ) -> Option<PhysAddr> {
-        self.hit(va, kind, pc, thread)
-            .map(|(e, size)| e.frame.offset(va.page_offset(size)))
+    ) -> Option<Entry> {
+        self.hit(va, kind, pc, thread).map(|(e, _)| e)
     }
 
     /// If a miss for the page containing `va` is already outstanding,
@@ -353,23 +373,25 @@ impl Tlb {
         self.place(entry, kind, pc, thread);
     }
 
-    /// [`Tlb::fill`] on a fast-forward's warm path: the same policy hooks,
-    /// no miss latency recorded, and the entry is usable at once.
-    pub(crate) fn warm_fill(
-        &mut self,
-        tr: &Translation,
-        kind: TranslationKind,
-        pc: u64,
-        thread: ThreadId,
-    ) {
-        let entry = Entry {
-            vpn: tr.vpn,
-            size: tr.size,
-            frame: tr.frame,
-            asid: tr.asid,
-            ready: 0,
-        };
-        self.place(entry, kind, pc, thread);
+    /// [`Tlb::fill`] on a fast-forward's warm path, right after a
+    /// [`Tlb::warm_lookup`] of the same page missed: the same policy
+    /// hooks, no miss latency recorded, and the entry is usable at once.
+    ///
+    /// `e` is tagged with the current ASID or [`Asid::GLOBAL`], both of
+    /// which the missed lookup matched, and nothing touched this level
+    /// since, so `e` is absent and [`Tlb::place`]'s residency scan is
+    /// skipped. Debug and `strict-contracts` builds check that.
+    pub(crate) fn warm_fill(&mut self, e: Entry, kind: TranslationKind, pc: u64, thread: ThreadId) {
+        if cfg!(any(debug_assertions, feature = "strict-contracts")) {
+            assert!(
+                self.find(e.vpn, e.size, e.asid).is_none(),
+                "warm fill of a resident entry"
+            );
+        }
+        let meta = self.meta(e.vpn, pc, kind, thread);
+        let set = self.entries.set_of(e.vpn);
+        self.entries
+            .install(&mut self.policy, set, Entry { ready: 0, ..e }, &meta);
     }
 
     /// Installs `e` under the policy, or, when `(vpn, size)` is already
