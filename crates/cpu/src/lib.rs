@@ -49,7 +49,7 @@ pub mod system;
 
 pub use branch::HashedPerceptron;
 pub use config::SystemConfig;
-pub use engine::{Engine, Tier};
+pub use engine::{Engine, Tier, WarmStalls};
 pub use functional::{FunctionalChain, FunctionalMachine, FunctionalPscs, FunctionalTlb};
 pub use output::{LevelReport, SimulationOutput, ThreadOutput, WalkerSummary};
 pub use sim::Simulation;

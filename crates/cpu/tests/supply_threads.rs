@@ -2,7 +2,7 @@
 //! by the pipe's stream and the parked tenant streams, plus one
 //! warm-stage producer thread per fast-forward segment (which draws its
 //! phase forks itself, not from the supply). All of them are joined
-//! before `run` returns.
+//! before `run` returns. Only fast-forwards wait on warm-stage chunks.
 //!
 //! The thread counters are process-wide, so this binary holds one test.
 
@@ -42,6 +42,7 @@ fn a_run_starts_one_supply_thread_and_joins_it() {
     ] {
         let started = Supply::threads_started();
         let warm_started = Engine::warm_threads_started();
+        let stalls = Engine::warm_stalls();
         sim.run();
         assert_eq!(
             Supply::threads_started() - started,
@@ -63,5 +64,8 @@ fn a_run_starts_one_supply_thread_and_joins_it() {
             0,
             "{what}: a warm-stage thread outlived its run"
         );
+        if segments == 0 {
+            assert_eq!(Engine::warm_stalls(), stalls, "{what}: warm-stage waits");
+        }
     }
 }
