@@ -30,8 +30,8 @@ use crate::config::FDIP_MAX_DEPTH;
 use crate::output::{LevelReport, SimulationOutput, ThreadOutput, WalkerSummary};
 use crate::system::{Mmu, System, WarmRef};
 use itpx_trace::{
-    ContextSchedule, InstructionStream, Supply, SupplyStream, SwitchPolicy, TierSchedule,
-    TraceGenerator, TraceInst, WorkloadSource, WorkloadSpec,
+    ContextSchedule, InstructionStream, SupplyStream, SwitchPolicy, TierSchedule, TraceGenerator,
+    TraceInst, WorkloadSource, WorkloadSpec,
 };
 use itpx_types::{Asid, Cycle, LevelId, PageSize, ThreadId, TranslationKind, VirtAddr};
 use itpx_vm::page_table::LEVELS;
@@ -133,7 +133,8 @@ enum WarmEvent {
 struct WarmProducer<'a> {
     mmu: &'a mut Mmu,
     ctx: Option<&'a mut ContextState>,
-    /// The pipe's stream, swapped for the incoming tenant's at a switch.
+    /// The pipe's stream, whose source a switch swaps for the incoming
+    /// tenant's.
     stream: &'a mut SupplyStream,
     origins: &'a [TraceGenerator],
     thread: ThreadId,
@@ -303,10 +304,12 @@ impl Tier {
 /// program points no matter how a run is tiered. Cadence events
 /// (shootdown/churn) target the data VA of the instruction they fire on —
 /// well-defined in both tiers and guaranteed to hit live translations.
+#[derive(Debug)]
 struct ContextState {
     schedule: ContextSchedule,
-    /// Unmounted tenant streams (`None` = currently mounted on the pipe).
-    streams: Vec<Option<SupplyStream>>,
+    /// The other tenants' sources, in the order they run next. The
+    /// executing tenant's source is on the pipe's stream.
+    parked: VecDeque<Box<dyn InstructionStream>>,
     /// Tenant currently executing.
     current: usize,
     /// Executed program instructions, both tiers.
@@ -316,16 +319,6 @@ struct ContextState {
     next_churn: u64,
 }
 
-impl std::fmt::Debug for ContextState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ContextState")
-            .field("schedule", &self.schedule)
-            .field("current", &self.current)
-            .field("clock", &self.clock)
-            .finish_non_exhaustive()
-    }
-}
-
 impl ContextState {
     /// Whether a switch boundary has been reached.
     fn switch_due(&self) -> bool {
@@ -333,31 +326,28 @@ impl ContextState {
     }
 
     /// Advances to the next tenant round-robin: parks the pipe's
-    /// instruction `stream` and puts the incoming tenant's in its place.
-    /// The incoming stream stays parked until the caller mounts it, and
-    /// the caller discards the pipe's front-end state
+    /// instruction `stream` and swaps the incoming tenant's source onto
+    /// it. The stream stays parked until the caller mounts it, and the
+    /// caller discards the pipe's front-end state
     /// ([`ThreadPipe::discard_frontend`]). Returns the incoming tenant's
     /// ASID; the caller applies the tier-appropriate TLB/PSC effects,
     /// flushing the incoming tenant's cached translations when the
     /// returned flag is set.
     fn rotate(&mut self, stream: &mut SupplyStream) -> (Asid, bool) {
         self.next_switch += self.schedule.quantum;
-        let next = (self.current + 1) % self.streams.len();
-        // next < streams.len() by the modulo, and every slot except the
-        // executing tenant's holds Some by the mount/unmount discipline.
-        let incoming = self.streams[next].take().expect("unmounted tenant stream");
-        let mut outgoing = std::mem::replace(stream, incoming);
-        outgoing.mount(0);
-        self.streams[self.current] = Some(outgoing);
-        self.current = next;
+        // A non-flat schedule has at least two tenants.
+        let incoming = self.parked.pop_front().expect("a parked tenant");
+        stream.mount(0);
+        // itpx-allow: hot-alloc pop_front just freed a slot, so the deque never grows
+        self.parked.push_back(stream.replace_source(incoming));
+        self.current = (self.current + 1) % usize::from(self.schedule.tenants);
         let flush = self.schedule.policy == SwitchPolicy::FlushAsid;
-        // itpx-allow: arith-width streams.len() == schedule.tenants, a u16, so the index fits
-        (Asid(next as u16), flush)
+        (self.asid(), flush)
     }
 
     /// The executing tenant's ASID.
     fn asid(&self) -> Asid {
-        // itpx-allow: arith-width current indexes streams, whose length is the u16 tenant count
+        // itpx-allow: arith-width current is below the u16 tenant count
         Asid(self.current as u16)
     }
 
@@ -422,7 +412,7 @@ struct ThreadPipe {
     /// Tenant streams start as clones and fast-forward segments
     /// phase-fork them, so each tenant's layout is built once per run.
     origins: Vec<TraceGenerator>,
-    /// The instruction supply, generated ahead on the run's supply
+    /// The instruction supply, generated ahead on the pipe's own supply
     /// thread while mounted.
     stream: SupplyStream,
     lookahead: VecDeque<TraceInst>,
@@ -455,13 +445,7 @@ struct ThreadPipe {
 }
 
 impl ThreadPipe {
-    fn new(
-        source: WorkloadSource,
-        supply: &Supply,
-        id: ThreadId,
-        rob_size: usize,
-        ftq_entries: usize,
-    ) -> Self {
+    fn new(source: WorkloadSource, id: ThreadId, rob_size: usize, ftq_entries: usize) -> Self {
         let name = source.name().to_string();
         let warmup = source.warmup();
         let (spec, origins) = match &source {
@@ -500,7 +484,7 @@ impl ThreadPipe {
         Self {
             id,
             name,
-            stream: supply.register(stream, limit),
+            stream: SupplyStream::new(stream, limit),
             spec,
             origins,
             lookahead: VecDeque::new(),
@@ -571,11 +555,6 @@ pub struct Engine {
     threads: Vec<ThreadPipe>,
     /// Multi-tenant schedule state (`None` = classic single-tenant run).
     ctx: Option<ContextState>,
-    /// The run's one instruction-supply thread: every stream the
-    /// cycle tier draws is registered with it. Held so that dropping the
-    /// engine joins the thread.
-    #[cfg_attr(not(test), allow(dead_code))]
-    supply: Supply,
     /// Chunk buffers of the fast-forward stages, kept across segments.
     // itpx-allow: nested-vec each buffer moves between the stages on its own, so they cannot share one grid
     warm_pool: Vec<Vec<WarmEvent>>,
@@ -618,11 +597,10 @@ impl Engine {
         );
         let rob_per_thread = system.config.rob_entries / sources.len();
         let ftq = system.config.ftq_entries;
-        let supply = Supply::new();
         let threads: Vec<ThreadPipe> = sources
             .into_iter()
             .enumerate()
-            .map(|(i, s)| ThreadPipe::new(s, &supply, ThreadId(i as u8), rob_per_thread, ftq))
+            .map(|(i, s)| ThreadPipe::new(s, ThreadId(i as u8), rob_per_thread, ftq))
             .collect();
         let mut system = system;
         let contexts = threads[0]
@@ -637,16 +615,14 @@ impl Engine {
                 contexts.global_fraction,
                 contexts.global_seed,
             );
-            // Tenant 0's stream is the pipe's own; slots hold the rest.
-            let streams = threads[0]
-                .origins
+            // Tenant 0's source is on the pipe's stream.
+            let parked = threads[0].origins[1..]
                 .iter()
-                .enumerate()
-                .map(|(t, g)| (t > 0).then(|| supply.register(Box::new(g.clone()), u64::MAX)))
+                .map(|g| Box::new(g.clone()) as Box<dyn InstructionStream>)
                 .collect();
             Some(ContextState {
                 schedule: contexts,
-                streams,
+                parked,
                 current: 0,
                 clock: 0,
                 next_switch: contexts.quantum,
@@ -658,7 +634,6 @@ impl Engine {
             system,
             threads,
             ctx,
-            supply,
             warm_pool: Vec::new(),
         }
     }
@@ -989,7 +964,7 @@ impl Engine {
     /// Fast-forwards consume no simulated time and no statistics, so the
     /// measured counters aggregate exactly the stepped instructions.
     ///
-    /// Consumes the engine, so the supply thread is joined before this
+    /// Consumes the engine, so the supply threads are joined before this
     /// returns.
     pub fn run(mut self, preset: &str, llc_policy: &str) -> SimulationOutput {
         let schedule = self.execute();
@@ -1082,7 +1057,8 @@ mod tests {
     /// Every mount announces exactly the draws that follow it, so the
     /// supply never fills a stream past the point where it is parked:
     /// at a switch (in a window, a warm tail or a free skip), a window
-    /// end or the run's end.
+    /// end or the run's end. (`SupplyStream::replace_source` also
+    /// asserts it at every switch.)
     #[test]
     fn parked_streams_hold_nothing_generated_ahead() {
         let tenants = |quantum| {
@@ -1119,7 +1095,9 @@ mod tests {
         for (what, specs) in runs {
             let mut e = engine(&specs);
             e.execute();
-            assert_eq!(e.supply.parked_peak(), 0, "{what}");
+            for t in &e.threads {
+                assert_eq!(t.stream.parked_peak(), 0, "{what}, thread {}", t.id.0);
+            }
         }
     }
 }

@@ -1,19 +1,21 @@
-//! How many threads a run starts: one instruction-supply thread, shared
-//! by the pipe's stream and the parked tenant streams, plus one
-//! warm-stage producer thread per fast-forward segment (which draws its
-//! phase forks itself, not from the supply). All of them are joined
-//! before `run` returns. Only fast-forwards wait on warm-stage chunks.
+//! How many threads a run starts: one instruction-supply thread per
+//! hardware thread, which a tenant switch keeps (it swaps the stream's
+//! source), plus one warm-stage producer thread per fast-forward segment
+//! (which draws its phase forks itself, not from the supply). All of them
+//! are joined before `run` returns. Only fast-forwards wait on warm-stage
+//! chunks.
 //!
 //! The thread counters are process-wide, so this binary holds one test.
 
 use itpx_core::Preset;
 use itpx_cpu::{Engine, Simulation, SystemConfig};
 use itpx_trace::{
-    ContextSchedule, SmtCategory, SmtPairSpec, Supply, SwitchPolicy, TierSchedule, WorkloadSpec,
+    ContextSchedule, SmtCategory, SmtPairSpec, SupplyStream, SwitchPolicy, TierSchedule,
+    WorkloadSpec,
 };
 
 #[test]
-fn a_run_starts_one_supply_thread_and_joins_it() {
+fn a_run_starts_one_supply_thread_per_hardware_thread_and_joins_them() {
     let cfg = SystemConfig::asplos25();
     let tiered_tenants = WorkloadSpec::server_like(4)
         .warmup(2_000)
@@ -27,30 +29,32 @@ fn a_run_starts_one_supply_thread_and_joins_it() {
             .instructions(3_000),
         category: SmtCategory::Relaxed,
     };
-    for (what, sim, segments) in [
+    for (what, sim, supply, segments) in [
         (
             "tiered four-tenant",
             Simulation::single_thread(&cfg, Preset::ItpXptp, &tiered_tenants),
+            1,
             12,
         ),
         (
             "flat",
             Simulation::single_thread(&cfg, Preset::Lru, &flat),
+            1,
             0,
         ),
-        ("SMT", Simulation::smt(&cfg, Preset::Lru, &pair), 0),
+        ("SMT", Simulation::smt(&cfg, Preset::Lru, &pair), 2, 0),
     ] {
-        let started = Supply::threads_started();
+        let started = SupplyStream::threads_started();
         let warm_started = Engine::warm_threads_started();
         let stalls = Engine::warm_stalls();
         sim.run();
         assert_eq!(
-            Supply::threads_started() - started,
-            1,
+            SupplyStream::threads_started() - started,
+            supply,
             "{what}: supply threads started"
         );
         assert_eq!(
-            Supply::threads_running(),
+            SupplyStream::threads_running(),
             0,
             "{what}: a supply thread outlived its run"
         );

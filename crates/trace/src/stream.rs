@@ -76,28 +76,29 @@ impl InstructionStream for TraceLoop {
     }
 }
 
-/// Instructions per chunk a [`Supply`] hands over at once.
+/// Instructions per chunk a [`SupplyStream`] hands over at once.
 pub const SUPPLY_CHUNK: usize = 512;
 
-/// Filled chunks a [`Supply`] keeps ahead of a mounted stream, and the
-/// buffers its shared pool holds. The consumer wakes the sleeping supply
-/// thread once half the pool is free again (or its stream has run dry),
-/// so the thread wakes about once per `SUPPLY_LEAD / 2` chunks drawn.
+/// Filled chunks a mounted [`SupplyStream`] keeps ahead, and the buffers
+/// its pool holds. The consumer wakes the sleeping supply thread once
+/// half the pool is free again (or the stream has run dry), so the
+/// thread wakes about once per `SUPPLY_LEAD / 2` chunks drawn.
 pub const SUPPLY_LEAD: usize = 8;
 
 /// Supply threads started in this process, and those still running.
 static STARTED: AtomicU64 = AtomicU64::new(0);
 static RUNNING: AtomicU64 = AtomicU64::new(0);
 
-/// One instruction-supply thread, shared by every stream of a run.
+/// An [`InstructionStream`] generated ahead on a supply thread of its
+/// own: one per hardware thread of a run.
 ///
-/// Each source is registered with a hard draw limit and comes back as a
-/// [`SupplyStream`]. The thread fills chunks of [`TraceInst`] only for
-/// *mounted* streams, and only up to the draws the consumer announced
-/// with [`SupplyStream::mount`]; a parked stream gets nothing. Chunk
-/// buffers come from one shared pool, allocated by whoever creates the
-/// supply, so a run holds about [`SUPPLY_LEAD`] chunks plus the
-/// partial chunk each stream is drawing from.
+/// The stream draws from one source at a time, up to a hard draw limit.
+/// Its thread fills chunks of [`TraceInst`] only while the stream is
+/// *mounted*, and only up to the draws the consumer announced with
+/// [`SupplyStream::mount`]; a parked stream gets nothing. Chunk buffers
+/// come from the stream's pool of [`SUPPLY_LEAD`], allocated by whoever
+/// creates it, so a stream holds about that many chunks plus the
+/// partial chunk it is drawing from.
 ///
 /// A refill that finds no filled chunk while the source is idle
 /// generates the chunk on the consumer's own thread ("caller-runs")
@@ -106,49 +107,43 @@ static RUNNING: AtomicU64 = AtomicU64::new(0);
 /// simply runs inline. The consumer waits only for a chunk the supply
 /// thread is generating at that moment.
 ///
-/// Output equals the sources' own: only the thread holding a source
+/// Output equals the sources' own: only the thread holding the source
 /// draws from it, each chunk is queued behind the ones drawn before it,
-/// and a consumer takes chunks in queue order.
+/// and the consumer takes chunks in queue order. A context switch swaps
+/// the source of the parked stream ([`SupplyStream::replace_source`]).
 ///
-/// Dropping the supply joins its thread once the chunk in flight, if
-/// any, is done. Streams outlive it safely: they generate every chunk
-/// themselves from then on.
-pub struct Supply {
+/// A source panic surfaces as a panic of the consumer's refill,
+/// `instruction-stream helper panicked: <message>`, whichever thread was
+/// generating; a draw past the limit panics with "instruction stream
+/// drawn past its limit". Dropping the stream joins its thread once the
+/// chunk in flight, if any, is done; the source drops with it.
+pub struct SupplyStream {
+    chunk: Vec<TraceInst>,
+    pos: usize,
+    /// Instructions in every chunk this consumer has taken.
+    taken: u64,
     shared: Arc<Shared>,
     thread: Option<JoinHandle<()>>,
 }
 
-/// State shared by a supply's thread and its streams.
+/// State shared by a stream and its supply thread.
 struct Shared {
     state: Mutex<State>,
     /// Wakes the supply thread: a mount, a drained chunk, shutdown.
     work: Condvar,
-    /// Wakes a consumer waiting for a chunk the supply thread generates.
+    /// Wakes the consumer waiting for a chunk the supply thread generates.
     ready: Condvar,
     chunk: usize,
 }
 
 struct State {
-    /// Registered streams by id; `None` marks a dropped stream's.
-    slots: Vec<Option<Slot>>,
-    /// Empty chunk buffers.
-    pool: Vec<Vec<TraceInst>>,
-    /// The supply thread is waiting for work.
-    idle: bool,
-    /// Threads waiting on [`Shared::ready`].
-    waiting: usize,
-    shutdown: bool,
-    /// The most instructions any stream held when it was parked.
-    parked_peak: u64,
-}
-
-/// One registered stream, as the supply sees it.
-struct Slot {
     /// `None` while a thread generates from it, or after it panicked.
     source: Option<Box<dyn InstructionStream>>,
     /// Filled chunks in draw order.
     filled: VecDeque<Vec<TraceInst>>,
-    /// Instructions drawn from the source, in flight ones included.
+    /// Empty chunk buffers.
+    pool: Vec<Vec<TraceInst>>,
+    /// Instructions drawn from the sources, in flight ones included.
     produced: u64,
     /// The supply thread fills up to here: the mount bound.
     until: u64,
@@ -156,23 +151,50 @@ struct Slot {
     limit: u64,
     /// The source's panic message.
     failed: Option<String>,
+    /// The supply thread is waiting for work.
+    idle: bool,
+    /// The consumer is waiting on [`Shared::ready`].
+    waiting: bool,
+    shutdown: bool,
+    /// The most instructions the stream held when it was parked.
+    parked_peak: u64,
 }
 
-impl Slot {
-    /// Whether the supply thread has a chunk to fill for this stream.
+impl State {
+    /// Whether the supply thread has a chunk to fill and a buffer to
+    /// fill it in.
     fn wants(&self) -> bool {
-        self.source.is_some() && self.produced < self.until && self.filled.len() < SUPPLY_LEAD
+        self.source.is_some()
+            && self.produced < self.until
+            && self.filled.len() < SUPPLY_LEAD
+            && !self.pool.is_empty()
     }
 
     /// Instructions left to generate before `produced` reaches `end`.
     fn left(&self, end: u64) -> usize {
         usize::try_from(end.saturating_sub(self.produced)).unwrap_or(usize::MAX)
     }
+
+    /// Returns a buffer to the pool, freeing it once the pool is full.
+    fn give_back(&mut self, buf: Vec<TraceInst>) {
+        if buf.capacity() > 0 && self.pool.len() < SUPPLY_LEAD {
+            self.pool.push(buf);
+        }
+    }
+
+    /// Wakes the supply thread if it sleeps and has a chunk to fill.
+    fn wake(&mut self, work: &Condvar) {
+        if self.idle && self.wants() {
+            self.idle = false;
+            work.notify_one();
+        }
+    }
 }
 
 impl Shared {
     fn lock(&self) -> MutexGuard<'_, State> {
-        // Nothing panics while holding the lock; a poisoned one is whole.
+        // A panic under the lock changes nothing first; a poisoned one is
+        // whole.
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -180,29 +202,19 @@ impl Shared {
         cv.wait(state).unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Waits for the supply thread to finish the chunk it is generating.
-    fn wait_ready<'a>(&self, mut state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
-        state.waiting += 1;
-        state = self.wait(&self.ready, state);
-        state.waiting -= 1;
-        state
-    }
-
-    /// Takes stream `id`'s idle source and replaces `buf`'s contents with
-    /// its next `n` instructions on the calling thread, outside the lock.
-    /// The source goes back to the stream, or, if it panicked, its
-    /// message becomes the stream's failure and is returned.
+    /// Takes the idle source and replaces `buf`'s contents with its next
+    /// `n` instructions on the calling thread, outside the lock. The
+    /// source goes back, or, if it panicked, its message becomes the
+    /// stream's failure.
     fn generate<'a>(
         &'a self,
         mut state: MutexGuard<'a, State>,
-        id: usize,
         n: usize,
         buf: &mut Vec<TraceInst>,
-    ) -> (MutexGuard<'a, State>, Option<String>) {
-        let slot = state.slot(id);
+    ) -> MutexGuard<'a, State> {
         // Both callers generate only from an idle source.
-        let mut source = slot.source.take().expect("idle source");
-        slot.produced += n as u64;
+        let mut source = state.source.take().expect("idle source");
+        state.produced += n as u64;
         drop(state);
         buf.clear();
         let back = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -217,83 +229,70 @@ impl Shared {
                 .unwrap_or_else(|| "non-string panic payload".to_string())
         });
         let mut state = self.lock();
-        let slot = state.slot(id);
-        let failure = match back {
-            Ok(source) => {
-                slot.source = Some(source);
-                None
-            }
-            Err(reason) => {
-                slot.failed = Some(reason.clone());
-                Some(reason)
-            }
-        };
-        (state, failure)
+        match back {
+            Ok(source) => state.source = Some(source),
+            Err(reason) => state.failed = Some(reason),
+        }
+        state
     }
 }
 
-impl State {
-    fn slot(&mut self, id: usize) -> &mut Slot {
-        // Ids index live slots: a stream frees its own only on drop.
-        self.slots[id].as_mut().expect("registered stream")
-    }
-
-    /// Returns a buffer to the pool, freeing it once the pool is full.
-    fn give_back(&mut self, buf: Vec<TraceInst>) {
-        if buf.capacity() > 0 && self.pool.len() < SUPPLY_LEAD {
-            self.pool.push(buf);
+/// The supply thread: fills the stream's next chunk, one at a time, and
+/// sleeps when it wants none or no buffer is free.
+fn supply_loop(shared: &Shared) {
+    let mut state = shared.lock();
+    while !state.shutdown {
+        if !state.wants() {
+            state.idle = true;
+            state = shared.wait(&shared.work, state);
+            state.idle = false;
+            continue;
         }
-    }
-
-    /// Wakes the supply thread if it sleeps and a buffer is free.
-    fn wake(&mut self, work: &Condvar) {
-        if self.idle && !self.pool.is_empty() {
-            self.idle = false;
-            work.notify_one();
+        // wants found the pool non-empty.
+        let mut buf = state.pool.pop().expect("free buffer");
+        let n = shared.chunk.min(state.left(state.until));
+        state = shared.generate(state, n, &mut buf);
+        if state.failed.is_none() {
+            state.filled.push_back(buf);
+        } else {
+            state.give_back(buf);
         }
-    }
-
-    /// The stream the supply thread fills next: the wanting one with
-    /// the fewest filled chunks, lowest id first.
-    fn next_job(&self) -> Option<usize> {
-        if self.pool.is_empty() {
-            return None;
+        if state.waiting {
+            shared.ready.notify_one();
         }
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(id, s)| {
-                s.as_ref()
-                    .filter(|s| s.wants())
-                    .map(|s| (s.filled.len(), id))
-            })
-            .min()
-            .map(|(_, id)| id)
     }
 }
 
-impl Supply {
-    /// A supply handing over [`SUPPLY_CHUNK`] instructions at a time.
-    pub fn new() -> Self {
-        Self::with_chunk(SUPPLY_CHUNK)
+impl SupplyStream {
+    /// A stream handing over [`SUPPLY_CHUNK`] instructions at a time
+    /// (see [`SupplyStream::with_chunk`]).
+    pub fn new(source: Box<dyn InstructionStream>, limit: u64) -> Self {
+        Self::with_chunk(source, limit, SUPPLY_CHUNK)
     }
 
-    /// A supply handing over `chunk` instructions at a time. Allocates
-    /// the buffer pool and starts the supply thread.
+    /// A stream that yields exactly `source`'s instructions, `chunk` at
+    /// a time, and panics if drawn past `limit` (`u64::MAX` for no
+    /// bound). Allocates the buffer pool and starts the supply thread;
+    /// the stream starts parked.
     ///
     /// # Panics
     ///
     /// Panics if `chunk` is zero or the thread cannot be spawned.
-    pub fn with_chunk(chunk: usize) -> Self {
+    pub fn with_chunk(source: Box<dyn InstructionStream>, limit: u64, chunk: usize) -> Self {
         assert!(chunk > 0, "supply chunks hold at least one instruction");
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                slots: Vec::new(),
+                source: Some(source),
+                filled: VecDeque::with_capacity(SUPPLY_LEAD),
                 pool: (0..SUPPLY_LEAD)
                     .map(|_| Vec::with_capacity(chunk))
                     .collect(),
+                produced: 0,
+                until: 0,
+                limit,
+                failed: None,
                 idle: false,
-                waiting: 0,
+                waiting: false,
                 shutdown: false,
                 parked_peak: 0,
             }),
@@ -314,37 +313,59 @@ impl Supply {
             .expect("spawn instruction-supply thread");
         STARTED.fetch_add(1, Ordering::SeqCst);
         Self {
+            chunk: Vec::new(),
+            pos: 0,
+            taken: 0,
             shared,
             thread: Some(thread),
         }
     }
 
-    /// Registers `source`: the returned stream yields exactly the
-    /// source's instructions and panics if drawn past `limit`
-    /// (`u64::MAX` for no bound). It starts parked.
-    pub fn register(&self, source: Box<dyn InstructionStream>, limit: u64) -> SupplyStream {
-        let slot = Slot {
-            source: Some(source),
-            filled: VecDeque::with_capacity(SUPPLY_LEAD),
-            produced: 0,
-            until: 0,
-            limit,
-            failed: None,
-        };
-        let mut state = self.shared.lock();
-        state.slots.push(Some(slot));
-        let id = state.slots.len() - 1;
-        SupplyStream {
-            chunk: Vec::new(),
-            pos: 0,
-            taken: 0,
-            id,
-            shared: Arc::clone(&self.shared),
+    /// Announces that the consumer will draw at most `draws` more
+    /// instructions before it next calls `mount`. The supply thread
+    /// fills up to that point and no further; `mount(0)` parks the
+    /// stream and hands a drained chunk buffer back to the pool.
+    pub fn mount(&mut self, draws: u64) {
+        let drawn = self.drawn();
+        let shared = &*self.shared;
+        let mut state = shared.lock();
+        state.until = drawn.saturating_add(draws).min(state.limit);
+        if draws == 0 {
+            state.parked_peak = state.parked_peak.max(state.produced - drawn);
+            if self.pos == self.chunk.len() {
+                self.pos = 0;
+                state.give_back(std::mem::take(&mut self.chunk));
+            }
         }
+        state.wake(&shared.work);
     }
 
-    /// The most instructions any stream of this supply held, filled
-    /// ahead but not drawn, at the moment it was parked.
+    /// Swaps in `source` and returns the outgoing one: the stream yields
+    /// `source`'s instructions from here on. The draw limit counts the
+    /// draws from every source.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the outgoing source ran ahead of the consumer's draws:
+    /// those instructions would be lost.
+    pub fn replace_source(
+        &mut self,
+        source: Box<dyn InstructionStream>,
+    ) -> Box<dyn InstructionStream> {
+        let drawn = self.drawn();
+        let mut state = self.shared.lock();
+        let ahead = state.produced - drawn;
+        assert!(
+            ahead == 0,
+            "replaced a source that ran ahead of its draws by {ahead}"
+        );
+        // Nothing generated ahead means no chunk in flight and no
+        // failure: the source is idle.
+        state.source.replace(source).expect("idle source")
+    }
+
+    /// The most instructions the stream held, filled ahead but not
+    /// drawn, at the moment it was parked.
     pub fn parked_peak(&self) -> u64 {
         self.shared.lock().parked_peak
     }
@@ -357,106 +378,6 @@ impl Supply {
     /// Supply threads of this process that have not yet exited.
     pub fn threads_running() -> u64 {
         RUNNING.load(Ordering::SeqCst)
-    }
-}
-
-impl Default for Supply {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for Supply {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Supply")
-            .field("chunk", &self.shared.chunk)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Drop for Supply {
-    fn drop(&mut self) {
-        self.shared.lock().shutdown = true;
-        self.shared.work.notify_one();
-        if let Some(thread) = self.thread.take() {
-            // Source panics are caught in the loop, so the thread cannot
-            // have panicked; never panic in drop anyway.
-            let _ = thread.join();
-        }
-    }
-}
-
-/// The supply thread: fills the neediest mounted stream's next chunk,
-/// one at a time, and sleeps when none wants one or no buffer is free.
-fn supply_loop(shared: &Shared) {
-    let mut state = shared.lock();
-    while !state.shutdown {
-        let Some(id) = state.next_job() else {
-            state.idle = true;
-            state = shared.wait(&shared.work, state);
-            state.idle = false;
-            continue;
-        };
-        // next_job found the pool non-empty.
-        let mut buf = state.pool.pop().expect("free buffer");
-        let slot = state.slot(id);
-        let n = shared.chunk.min(slot.left(slot.until));
-        let failure;
-        (state, failure) = shared.generate(state, id, n, &mut buf);
-        match failure {
-            None => state.slot(id).filled.push_back(buf),
-            Some(_) => state.give_back(buf),
-        }
-        if state.waiting > 0 {
-            shared.ready.notify_all();
-        }
-    }
-}
-
-/// An [`InstructionStream`] registered with a [`Supply`].
-///
-/// The consumer tells the supply how far it will draw with
-/// [`SupplyStream::mount`]; the supply thread then fills chunks up to
-/// that point. A refill that finds nothing filled generates the next
-/// chunk itself when the source is idle. A source panic surfaces as a
-/// panic of the consumer's refill, `instruction-stream helper panicked:
-/// <message>`, whichever thread was generating; a draw past the limit
-/// panics with "instruction stream drawn past its limit".
-///
-/// Dropping the stream waits for a chunk in flight on the supply thread,
-/// then drops its source: no source outlives its stream.
-pub struct SupplyStream {
-    chunk: Vec<TraceInst>,
-    pos: usize,
-    /// Instructions in every chunk this consumer has taken.
-    taken: u64,
-    id: usize,
-    shared: Arc<Shared>,
-}
-
-impl SupplyStream {
-    /// Announces that the consumer will draw at most `draws` more
-    /// instructions before it next calls `mount`. The supply thread
-    /// fills up to that point and no further; `mount(0)` parks the
-    /// stream and hands a drained chunk buffer back to the pool.
-    pub fn mount(&mut self, draws: u64) {
-        let drawn = self.drawn();
-        let shared = &*self.shared;
-        let mut state = shared.lock();
-        let slot = state.slot(self.id);
-        slot.until = drawn.saturating_add(draws).min(slot.limit);
-        let wake = slot.wants();
-        if draws == 0 {
-            let held = slot.produced - drawn;
-            state.parked_peak = state.parked_peak.max(held);
-            if self.pos == self.chunk.len() {
-                self.pos = 0;
-                state.give_back(std::mem::take(&mut self.chunk));
-            }
-        }
-        if wake {
-            state.wake(&shared.work);
-        }
     }
 
     /// Instructions the consumer has drawn so far.
@@ -474,33 +395,31 @@ impl SupplyStream {
         let mut drained = std::mem::take(&mut self.chunk);
         let mut state = shared.lock();
         loop {
-            let slot = state.slot(self.id);
-            if let Some(chunk) = slot.filled.pop_front() {
-                let (wants, starving) = (slot.wants(), slot.filled.is_empty());
+            if let Some(chunk) = state.filled.pop_front() {
                 self.taken += chunk.len() as u64;
                 self.chunk = chunk;
                 self.pos = 0;
                 state.give_back(drained);
                 // Wake the supply thread for a batch of chunks, or for
                 // the next one if none is left.
-                if wants && (starving || state.pool.len() >= SUPPLY_LEAD / 2) {
+                if state.filled.is_empty() || state.pool.len() >= SUPPLY_LEAD / 2 {
                     state.wake(&shared.work);
                 }
                 return;
             }
-            if let Some(reason) = slot.failed.clone() {
+            if let Some(reason) = state.failed.clone() {
                 drop(state);
                 panic!("instruction-stream helper panicked: {reason}");
             }
-            if slot.source.is_some() {
+            if state.source.is_some() {
                 // Caller-runs: up to the mount bound, or past it in full
                 // chunks when the consumer outruns its announcement.
-                let end = if slot.produced < slot.until {
-                    slot.until
+                let end = if state.produced < state.until {
+                    state.until
                 } else {
-                    slot.limit
+                    state.limit
                 };
-                let n = shared.chunk.min(slot.left(end));
+                let n = shared.chunk.min(state.left(end));
                 if n == 0 {
                     drop(state);
                     panic!("instruction stream drawn past its limit");
@@ -511,23 +430,21 @@ impl SupplyStream {
                         .pop()
                         .unwrap_or_else(|| Vec::with_capacity(shared.chunk));
                 }
-                let failure;
-                (state, failure) = shared.generate(state, self.id, n, &mut drained);
-                if let Some(reason) = failure {
-                    state.give_back(drained);
-                    drop(state);
-                    panic!("instruction-stream helper panicked: {reason}");
+                state = shared.generate(state, n, &mut drained);
+                if state.failed.is_some() {
+                    // The next pass reports it.
+                    continue;
                 }
                 self.taken += n as u64;
                 self.chunk = drained;
                 self.pos = 0;
-                if state.slot(self.id).wants() {
-                    state.wake(&shared.work);
-                }
+                state.wake(&shared.work);
                 return;
             }
             // The supply thread holds the source: its chunk is next.
-            state = shared.wait_ready(state);
+            state.waiting = true;
+            state = shared.wait(&shared.ready, state);
+            state.waiting = false;
         }
     }
 }
@@ -548,7 +465,7 @@ impl InstructionStream for SupplyStream {
 impl std::fmt::Debug for SupplyStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SupplyStream")
-            .field("id", &self.id)
+            .field("chunk", &self.shared.chunk)
             .field("buffered", &(self.chunk.len() - self.pos))
             .finish_non_exhaustive()
     }
@@ -556,24 +473,13 @@ impl std::fmt::Debug for SupplyStream {
 
 impl Drop for SupplyStream {
     fn drop(&mut self) {
-        let shared = &*self.shared;
-        let mut state = shared.lock();
-        loop {
-            let slot = state.slot(self.id);
-            if slot.source.is_some() || slot.failed.is_some() {
-                break;
-            }
-            state = shared.wait_ready(state);
+        self.shared.lock().shutdown = true;
+        self.shared.work.notify_one();
+        if let Some(thread) = self.thread.take() {
+            // Source panics are caught in the loop, so the thread cannot
+            // have panicked; never panic in drop anyway.
+            let _ = thread.join();
         }
-        // The loop above found the slot live.
-        let slot = state.slots[self.id].take().expect("registered stream");
-        for buf in slot.filled {
-            state.give_back(buf);
-        }
-        state.give_back(std::mem::take(&mut self.chunk));
-        drop(state);
-        // The source drops here, outside the lock.
-        drop(slot.source);
     }
 }
 

@@ -1,12 +1,14 @@
-//! The instruction supply: every stream yields exactly its inline
-//! source, whoever generates each chunk and however streams are mounted
-//! and parked; a parked stream holds nothing generated past its mount;
-//! dropping a stream drops its source; a source panic reaches the
-//! consumer instead of hanging it.
+//! The instruction supply: a stream yields exactly its inline sources,
+//! whoever generates each chunk, however it is mounted and parked and
+//! however its sources are swapped; a parked stream holds nothing
+//! generated past its mount; dropping a stream joins its thread and
+//! drops its source; a source panic reaches the consumer instead of
+//! hanging it.
 
 use itpx_trace::stream::{SUPPLY_CHUNK, SUPPLY_LEAD};
-use itpx_trace::{InstructionStream, Supply, TraceGenerator, TraceInst, WorkloadSpec};
+use itpx_trace::{InstructionStream, SupplyStream, TraceGenerator, TraceInst, WorkloadSpec};
 use itpx_types::Rng64;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
@@ -40,12 +42,11 @@ fn a_stream_yields_exactly_its_inline_source() {
     let n = (SUPPLY_LEAD + 3) * SUPPLY_CHUNK + 3;
     for (name, g) in generators() {
         for chunk in CHUNKS {
-            let supply = Supply::with_chunk(chunk);
             // Parked throughout: the consumer generates every chunk.
             // Mounted for everything: the supply thread runs ahead.
             // Mounted in uneven stretches: both generate.
             for mode in ["parked", "mounted", "stretches"] {
-                let mut s = supply.register(Box::new(g.clone()), n as u64);
+                let mut s = SupplyStream::with_chunk(Box::new(g.clone()), n as u64, chunk);
                 let mut inline = g.clone();
                 if mode == "mounted" {
                     s.mount(n as u64);
@@ -74,69 +75,65 @@ fn a_stream_continues_a_partly_run_source() {
     for _ in 0..1234 {
         g.next_inst();
     }
-    let supply = Supply::new();
-    let mut s = supply.register(Box::new(g.clone()), u64::MAX);
+    let mut s = SupplyStream::new(Box::new(g.clone()), u64::MAX);
     s.mount(4 * SUPPLY_CHUNK as u64);
     for i in 0..4 * SUPPLY_CHUNK {
         assert_eq!(s.next_inst(), g.next_inst(), "resumed: {i}");
     }
 }
 
-/// Streams mounted and parked in the engine's pattern, one tenant at a
-/// time for a quantum announced exactly, plus short-lived fork streams
-/// registered between quanta and dropped at or before the end of their
-/// mount, all on one supply. Every stream must match its inline source,
-/// and none may hold an instruction generated past its mount.
+/// One stream in the engine's switch pattern: mounted for a quantum
+/// announced exactly, parked, and its source swapped for the next
+/// tenant's, round-robin over four tenants. Each tenant's instructions
+/// must match its inline source across its quanta, and no park may
+/// leave an instruction generated ahead (`replace_source` would panic).
 #[test]
-fn mount_and_park_interleavings_stay_exact() {
-    let server = TraceGenerator::new(&WorkloadSpec::server_like(11));
+fn tenant_sources_swapped_at_exact_quanta_stay_exact() {
     for chunk in CHUNKS {
-        let supply = Supply::with_chunk(chunk);
         let sources: Vec<TraceGenerator> = (0..4)
             .map(|t| TraceGenerator::new(&WorkloadSpec::server_like(11).tenant(t)))
             .collect();
         let mut inline = sources.clone();
-        let mut streams: Vec<_> = sources
+        // Parked sources in the order they run next, as the engine keeps
+        // them.
+        let mut parked: VecDeque<Box<dyn InstructionStream>> = sources
             .into_iter()
-            .map(|g| supply.register(Box::new(g), u64::MAX))
+            .map(|g| Box::new(g) as Box<dyn InstructionStream>)
             .collect();
+        let first = parked.pop_front().expect("tenant 0");
+        let mut s = SupplyStream::with_chunk(first, u64::MAX, chunk);
         let mut rng = Rng64::new(chunk as u64);
         for round in 0..40u64 {
             let t = (round % 4) as usize;
             let quantum = rng.range(1, 3 * SUPPLY_CHUNK as u64);
-            streams[t].mount(quantum);
+            s.mount(quantum);
             for i in 0..quantum {
                 assert_eq!(
-                    streams[t].next_inst(),
+                    s.next_inst(),
                     inline[t].next_inst(),
                     "chunk {chunk}, round {round}, tenant {t}: {i}"
                 );
             }
-            streams[t].mount(0);
-            if round % 9 == 0 {
-                // Forks at the extreme salts, each mounted for a stretch
-                // and dropped at its end or one short of it.
-                for salt in [0, 1, u64::MAX] {
-                    let mut inline_fork = server.phase_fork(salt);
-                    let tail = rng.range(1, 2 * SUPPLY_CHUNK as u64);
-                    let mut fork = supply.register(Box::new(server.phase_fork(salt)), tail);
-                    fork.mount(tail);
-                    for i in 0..tail - round % 2 {
-                        assert_eq!(
-                            fork.next_inst(),
-                            inline_fork.next_inst(),
-                            "fork {salt}: {i}"
-                        );
-                    }
-                }
-            }
+            s.mount(0);
+            let incoming = parked.pop_front().expect("parked tenant");
+            parked.push_back(s.replace_source(incoming));
         }
         assert_eq!(
-            supply.parked_peak(),
+            s.parked_peak(),
             0,
             "chunk {chunk}: parked stream held instructions"
         );
     }
+}
+
+#[test]
+#[should_panic(expected = "replaced a source that ran")]
+fn replacing_a_source_that_ran_ahead_panics() {
+    let g = TraceGenerator::new(&WorkloadSpec::server_like(6));
+    let mut s = SupplyStream::with_chunk(Box::new(g.clone()), u64::MAX, 8);
+    // Caller-runs generates a whole chunk for the first draw.
+    s.next_inst();
+    s.replace_source(Box::new(g));
 }
 
 /// A source that owns `alive`, raises `entered` whenever it generates,
@@ -165,53 +162,60 @@ impl Drop for Tracked {
     }
 }
 
+/// A `Tracked` source and what it reports: a weak handle on what it
+/// owns, whether it is generating, and whether it was dropped.
+fn tracked(delay: Duration) -> (Tracked, Weak<()>, Arc<AtomicBool>, Arc<AtomicBool>) {
+    let alive = Arc::new(());
+    let weak = Arc::downgrade(&alive);
+    let entered = Arc::new(AtomicBool::new(false));
+    let dropped = Arc::new(AtomicBool::new(false));
+    let source = Tracked {
+        inner: TraceGenerator::new(&WorkloadSpec::server_like(1)),
+        _alive: alive,
+        entered: Arc::clone(&entered),
+        delay,
+        dropped: Arc::clone(&dropped),
+    };
+    (source, weak, entered, dropped)
+}
+
 #[test]
 fn dropping_a_stream_drops_its_source() {
     let chunk = 8;
-    let supply = Supply::with_chunk(chunk);
-    for mounted in [false, true] {
-        for consumed in [0, 1, chunk + 5] {
-            let alive = Arc::new(());
-            let weak: Weak<()> = Arc::downgrade(&alive);
-            let entered = Arc::new(AtomicBool::new(false));
-            let dropped = Arc::new(AtomicBool::new(false));
-            let source = Tracked {
-                inner: TraceGenerator::new(&WorkloadSpec::server_like(1)),
-                _alive: alive,
-                entered: Arc::clone(&entered),
-                // Slow enough that the drop below lands mid-chunk.
-                delay: Duration::from_millis(u64::from(mounted)),
-                dropped: Arc::clone(&dropped),
-            };
-            let mut s = supply.register(Box::new(source), u64::MAX);
-            for _ in 0..consumed {
-                s.next_inst();
-            }
-            if mounted {
-                // Drop while the supply thread is inside the source.
-                entered.store(false, Ordering::SeqCst);
-                s.mount(u64::MAX);
-                let start = Instant::now();
-                while !entered.load(Ordering::SeqCst) {
-                    assert!(
-                        start.elapsed() < Duration::from_secs(20),
-                        "supply never ran"
-                    );
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            }
-            drop(s);
-            let what = format!("mounted {mounted}, {consumed} consumed");
-            assert!(
-                weak.upgrade().is_none(),
-                "source outlived its stream ({what})"
-            );
-            assert!(
-                dropped.load(Ordering::SeqCst),
-                "source not dropped ({what})"
-            );
+    for consumed in [0, 1, chunk + 5] {
+        let (source, weak, _, dropped) = tracked(Duration::ZERO);
+        let mut s = SupplyStream::with_chunk(Box::new(source), u64::MAX, chunk);
+        for _ in 0..consumed {
+            s.next_inst();
         }
+        drop(s);
+        assert!(
+            weak.upgrade().is_none(),
+            "{consumed} consumed: source outlived its stream"
+        );
+        assert!(dropped.load(Ordering::SeqCst), "{consumed} consumed");
     }
+}
+
+#[test]
+fn dropping_a_stream_mid_chunk_joins_its_thread_and_drops_its_source() {
+    // Slow enough that the drop below lands inside the source.
+    let (source, weak, entered, dropped) = tracked(Duration::from_millis(1));
+    let mut s = SupplyStream::with_chunk(Box::new(source), u64::MAX, 64);
+    s.mount(u64::MAX);
+    let start = Instant::now();
+    while !entered.load(Ordering::SeqCst) {
+        assert!(
+            start.elapsed() < Duration::from_secs(20),
+            "supply never ran"
+        );
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    drop(s);
+    // The drop returned, so it joined the thread, which had put the
+    // source back: the source went with the stream.
+    assert!(weak.upgrade().is_none(), "source outlived its stream");
+    assert!(dropped.load(Ordering::SeqCst), "source not dropped");
 }
 
 /// A source that panics after `left` instructions and records the name
@@ -234,7 +238,7 @@ impl InstructionStream for Failing {
     }
 }
 
-/// Registers `source` on a fresh supply, optionally mounts it for
+/// Puts `source` on a fresh stream, optionally mounts it for
 /// `mount` draws and waits until `ready` holds, then draws until the
 /// stream panics and returns the message. The consumer runs on its own
 /// thread so a hang fails the test instead of stalling it.
@@ -247,8 +251,7 @@ fn panic_message<S: InstructionStream + 'static>(
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let supply = Supply::new();
-            let mut s = supply.register(Box::new(source), limit);
+            let mut s = SupplyStream::new(Box::new(source), limit);
             if let Some(draws) = mount {
                 s.mount(draws);
                 let start = Instant::now();
