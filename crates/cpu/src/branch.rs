@@ -62,6 +62,7 @@ impl HashedPerceptron {
 
     /// Trains on the actual outcome and updates the global history.
     /// Returns `true` if the prediction was correct.
+    #[inline]
     pub fn update(&mut self, pc: u64, taken: bool) -> bool {
         let correct = self.train(pc, taken);
         self.predictions += 1;
@@ -74,6 +75,7 @@ impl HashedPerceptron {
     /// [`HashedPerceptron::update`] without counting the prediction: a
     /// fast-forward trains the predictor this way, so the branch counters
     /// only count measured branches.
+    #[inline]
     pub fn train(&mut self, pc: u64, taken: bool) -> bool {
         let sum = self.sum(pc);
         let correct = (sum >= 0) == taken;

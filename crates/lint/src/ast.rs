@@ -137,6 +137,15 @@ pub struct FnDef {
     pub body: Vec<Tree>,
     /// Raw attribute texts (`cfg(test)`, `inline`, `allow(dead_code)`, …).
     pub attrs: Vec<String>,
+    /// `true` when the function is compiled per use rather than once: it
+    /// has type or const parameters, takes an `impl Trait` argument, sits
+    /// in an `impl` with type or const parameters, or is a trait's default
+    /// method.
+    pub is_generic: bool,
+    /// `true` when code in another crate can name the function: it is
+    /// declared plain `pub` (not `pub(crate)` or `pub(super)`), or it is a
+    /// trait method.
+    pub is_exported: bool,
 }
 
 /// One struct field: `owner.name: ty` (type text flattened).
@@ -228,6 +237,8 @@ struct ItemCtx {
     in_test: bool,
     self_ty: Option<String>,
     trait_name: Option<String>,
+    /// The enclosing `impl` has type or const parameters.
+    generic: bool,
 }
 
 impl ItemCtx {
@@ -236,6 +247,7 @@ impl ItemCtx {
             in_test,
             self_ty: None,
             trait_name: None,
+            generic: false,
         }
     }
 }
@@ -303,6 +315,27 @@ fn skip_generics(trees: &[Tree], mut i: usize) -> usize {
     i
 }
 
+/// `true` when the generics region `trees[lo..hi]` declares a type or
+/// const parameter; lifetime-only generics compile once.
+fn declares_type_params(trees: &[Tree], lo: usize, hi: usize) -> bool {
+    trees[lo..hi].iter().any(|t| match t {
+        Tree::Tok(tok) => tok.kind == TokKind::Ident,
+        Tree::Group(_) => true,
+    })
+}
+
+/// `true` when the `fn` keyword at `fn_idx` follows a plain `pub`,
+/// skipping the `const`/`unsafe`/`async` qualifiers between them.
+fn declared_pub(trees: &[Tree], fn_idx: usize) -> bool {
+    let qualifier = |t: &Token| ["const", "unsafe", "async"].iter().any(|q| t.is_ident(q));
+    trees[..fn_idx]
+        .iter()
+        .rev()
+        .find(|t| !t.token().is_some_and(qualifier))
+        .and_then(Tree::token)
+        .is_some_and(|t| t.is_ident("pub"))
+}
+
 /// Recognizes items in a tree run, recursing into module/impl/trait
 /// bodies and collecting functions and struct fields.
 fn parse_items(trees: &[Tree], ctx: &ItemCtx, ast: &mut FileAst) {
@@ -349,12 +382,7 @@ fn parse_items(trees: &[Tree], ctx: &ItemCtx, ast: &mut FileAst) {
                             if is_test && !ctx.in_test {
                                 ast.test_ranges.push((mod_line, g.close.line));
                             }
-                            let sub = ItemCtx {
-                                in_test: is_test,
-                                self_ty: None,
-                                trait_name: None,
-                            };
-                            parse_items(&g.trees, &sub, ast);
+                            parse_items(&g.trees, &ItemCtx::new(is_test), ast);
                             break;
                         }
                     }
@@ -462,14 +490,20 @@ fn parse_fn(
     let name = name_tok.text.clone();
     let mut i = fn_idx + 2;
     // Generics.
+    let mut is_generic = ctx.generic || (ctx.trait_name.is_some() && ctx.self_ty.is_none());
     if trees.get(i).is_some_and(|t| t.is_punct("<")) {
-        i = skip_generics(trees, i);
+        let end = skip_generics(trees, i);
+        is_generic |= declares_type_params(trees, i, end);
+        i = end;
     }
     // Parameter group.
     let mut params = Vec::new();
     if let Some(g) = trees.get(i).and_then(|t| t.group()) {
         if g.delim == Delim::Paren {
             params = parse_params(&g.trees);
+            is_generic |= params
+                .iter()
+                .any(|(_, ty)| ty.split(' ').any(|w| w == "impl"));
             i += 1;
         }
     }
@@ -495,6 +529,7 @@ fn parse_fn(
     if is_test && !ctx.in_test {
         ast.test_ranges.push((span.line, end_line));
     }
+    let is_exported = ctx.trait_name.is_some() || declared_pub(trees, fn_idx);
     ast.fns.push(FnDef {
         name,
         self_ty: ctx.self_ty.clone(),
@@ -505,6 +540,8 @@ fn parse_fn(
         params,
         body,
         attrs,
+        is_generic,
+        is_exported,
     });
     i
 }
@@ -556,8 +593,11 @@ fn parse_params(trees: &[Tree]) -> Vec<(String, String)> {
 /// just past the impl block.
 fn parse_impl(trees: &[Tree], impl_idx: usize, ctx: &ItemCtx, ast: &mut FileAst) -> usize {
     let mut i = impl_idx + 1;
+    let mut generic = false;
     if trees.get(i).is_some_and(|t| t.is_punct("<")) {
-        i = skip_generics(trees, i);
+        let end = skip_generics(trees, i);
+        generic = declares_type_params(trees, i, end);
+        i = end;
     }
     // Collect header idents (angle regions masked) until the brace body.
     let mut header: Vec<String> = Vec::new();
@@ -604,6 +644,7 @@ fn parse_impl(trees: &[Tree], impl_idx: usize, ctx: &ItemCtx, ast: &mut FileAst)
             in_test: ctx.in_test,
             self_ty,
             trait_name,
+            generic,
         };
         parse_items(&g.trees, &sub, ast);
     }
@@ -622,9 +663,8 @@ fn parse_trait(trees: &[Tree], trait_idx: usize, ctx: &ItemCtx, ast: &mut FileAs
         match &trees[i] {
             Tree::Group(g) if g.delim == Delim::Brace && depth <= 0 => {
                 let sub = ItemCtx {
-                    in_test: ctx.in_test,
-                    self_ty: None,
                     trait_name: name,
+                    ..ItemCtx::new(ctx.in_test)
                 };
                 parse_items(&g.trees, &sub, ast);
                 return i + 1;
@@ -872,6 +912,51 @@ mod tests {
     fn trait_default_methods_get_trait_context() {
         let ast = parse("trait Policy<M> { fn on_evict(&mut self, s: usize) { let _ = s; } }\n");
         assert_eq!(ast.fns[0].trait_name.as_deref(), Some("Policy"));
+    }
+
+    #[test]
+    fn generic_fns_are_told_apart() {
+        let ast = parse(
+            "fn plain(x: u64) {}\n\
+             fn lifetimes<'a>(x: &'a u64) {}\n\
+             fn typed<T: Copy>(x: T) {}\n\
+             fn sized<const N: usize>() {}\n\
+             fn opaque(x: impl Iterator<Item = u64>) {}\n\
+             impl<M> Policy<M> for Lru { fn victim(&mut self) -> usize { 0 } }\n\
+             impl<'a> View<'a> { fn get(&self) -> u64 { 0 } }\n\
+             trait Walk { fn step(&mut self) {} }\n",
+        );
+        let generic: Vec<(&str, bool)> = ast
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.is_generic))
+            .collect();
+        assert_eq!(
+            generic,
+            [
+                ("plain", false),
+                ("lifetimes", false),
+                ("typed", true),
+                ("sized", true),
+                ("opaque", true),
+                ("victim", true),
+                ("get", false),
+                ("step", true),
+            ]
+        );
+    }
+
+    #[test]
+    fn exported_fns_are_told_apart() {
+        let ast = parse(
+            "pub fn a() {}\n\
+             pub const fn b() {}\n\
+             pub(crate) fn c() {}\n\
+             fn d() {}\n\
+             impl Policy<M> for X { fn e(&self) {} }\n",
+        );
+        let exported: Vec<bool> = ast.fns.iter().map(|f| f.is_exported).collect();
+        assert_eq!(exported, [true, true, false, false, true]);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Hot-path analysis: a call-graph walk from the per-access entry points,
-//! and the three rules enforced on every function it reaches.
+//! the three rules enforced on every function it reaches, and the
+//! cross-crate inlining rule enforced on its edges.
 //!
 //! The ROADMAP's target — *no allocation in steady state, per-access calls
 //! that inline* — is only meaningful on the code that actually runs per
@@ -38,6 +39,15 @@
 //!   `<<` with non-literal operands, and `+` on operands known to be
 //!   sub-64-bit: the silent wrap/truncate cases address and cycle math
 //!   must not hit.
+//!
+//! Rule on hot edges:
+//!
+//! * `hot-inline` — a non-test, non-generic hot function that a hot
+//!   function of another crate calls must carry `#[inline]`: a build
+//!   without LTO cannot inline it across the crate boundary otherwise.
+//!   Name-resolved edges count only where the call can cross: the callee
+//!   is exported and the caller's crate depends on the callee's. The rule
+//!   follows direct calls only; see [`scan_hot_inline`].
 
 use crate::ast::{FileAst, FnDef};
 use crate::lexer::{Delim, TokKind, Token};
@@ -77,26 +87,57 @@ pub struct FnId {
     pub idx: usize,
 }
 
+/// The cross-file function table: every non-test function of the graph
+/// files, by name and by `(self type, name)`.
+struct Index<'a> {
+    by_name: BTreeMap<&'a str, Vec<FnId>>,
+    by_typed: BTreeMap<&'a str, BTreeMap<&'a str, Vec<FnId>>>,
+}
+
+impl<'a> Index<'a> {
+    fn build(files: &[(&'a FileAst, bool)]) -> Self {
+        let mut by_name: BTreeMap<&str, Vec<FnId>> = BTreeMap::new();
+        let mut by_typed: BTreeMap<&str, BTreeMap<&str, Vec<FnId>>> = BTreeMap::new();
+        for (fi, (ast, in_graph)) in files.iter().enumerate() {
+            if !in_graph {
+                continue;
+            }
+            for (gi, f) in ast.fns.iter().enumerate() {
+                if f.is_test {
+                    continue;
+                }
+                let id = FnId { file: fi, idx: gi };
+                by_name.entry(&f.name).or_default().push(id);
+                if let Some(ty) = &f.self_ty {
+                    let methods = by_typed.entry(ty.as_str()).or_default();
+                    methods.entry(&f.name).or_default().push(id);
+                }
+            }
+        }
+        Self { by_name, by_typed }
+    }
+
+    /// The methods named `name` of type `ty`.
+    fn typed(&self, ty: &str, name: &str) -> &[FnId] {
+        self.by_typed
+            .get(ty)
+            .and_then(|methods| methods.get(name))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// The functions a call may bind to.
+    fn targets(&self, callee: &Callee) -> &[FnId] {
+        match callee {
+            Callee::Typed(ty, name) => self.typed(ty, name),
+            Callee::Named(name) => self.by_name.get(name.as_str()).map_or(&[], Vec::as_slice),
+        }
+    }
+}
+
 /// Computes the set of hot functions over the analyzed files (only files
 /// with `in_graph` set participate — the simulator crates).
 pub fn hot_set(files: &[(&FileAst, bool)]) -> BTreeSet<FnId> {
-    let mut by_name: BTreeMap<&str, Vec<FnId>> = BTreeMap::new();
-    let mut by_typed: BTreeMap<(&str, &str), Vec<FnId>> = BTreeMap::new();
-    for (fi, (ast, in_graph)) in files.iter().enumerate() {
-        if !in_graph {
-            continue;
-        }
-        for (gi, f) in ast.fns.iter().enumerate() {
-            if f.is_test {
-                continue;
-            }
-            let id = FnId { file: fi, idx: gi };
-            by_name.entry(&f.name).or_default().push(id);
-            if let Some(ty) = &f.self_ty {
-                by_typed.entry((ty, &f.name)).or_default().push(id);
-            }
-        }
-    }
+    let index = Index::build(files);
     let mut hot: BTreeSet<FnId> = BTreeSet::new();
     let mut queue: Vec<FnId> = Vec::new();
     let push = |id: FnId, hot: &mut BTreeSet<FnId>, queue: &mut Vec<FnId>| {
@@ -105,10 +146,8 @@ pub fn hot_set(files: &[(&FileAst, bool)]) -> BTreeSet<FnId> {
         }
     };
     for &(ty, name) in TYPED_ROOTS {
-        if let Some(ids) = by_typed.get(&(ty, name)) {
-            for &id in ids {
-                push(id, &mut hot, &mut queue);
-            }
+        for &id in index.typed(ty, name) {
+            push(id, &mut hot, &mut queue);
         }
     }
     for (fi, (ast, in_graph)) in files.iter().enumerate() {
@@ -127,25 +166,104 @@ pub fn hot_set(files: &[(&FileAst, bool)]) -> BTreeSet<FnId> {
     while let Some(id) = queue.pop() {
         let f = &files[id.file].0.fns[id.idx];
         for callee in callees(f) {
-            match callee {
-                Callee::Typed(ty, name) => {
-                    if let Some(ids) = by_typed.get(&(ty.as_str(), name.as_str())) {
-                        for &c in ids {
-                            push(c, &mut hot, &mut queue);
-                        }
-                    }
-                }
-                Callee::Named(name) => {
-                    if let Some(ids) = by_name.get(name.as_str()) {
-                        for &c in ids {
-                            push(c, &mut hot, &mut queue);
-                        }
-                    }
-                }
+            for &c in index.targets(&callee) {
+                push(c, &mut hot, &mut queue);
             }
         }
     }
     hot
+}
+
+/// The workspace crates each graph crate depends on (the `itpx-*` entries
+/// of its `Cargo.toml`). A call can only cross into a crate that the
+/// caller's crate depends on; `tests/fixtures.rs` checks the table
+/// against the manifests.
+pub const CRATE_DEPS: &[(&str, &[&str])] = &[
+    ("types", &[]),
+    ("policy", &["types"]),
+    ("core", &["types", "policy"]),
+    ("vm", &["types", "policy"]),
+    ("mem", &["types", "policy"]),
+    ("cpu", &["types", "policy", "core", "vm", "mem", "trace"]),
+    ("trace", &["types"]),
+];
+
+/// `true` when code in crate `from` can call into crate `to`, another
+/// crate.
+fn crosses(from: Option<&str>, to: Option<&str>) -> bool {
+    CRATE_DEPS
+        .iter()
+        .any(|(c, deps)| Some(*c) == from && deps.iter().any(|d| Some(*d) == to))
+}
+
+/// The crate a repo-relative path belongs to: the `crates/<name>/`
+/// segment.
+fn crate_of(path: &str) -> Option<&str> {
+    let rest = &path[path.find("crates/")? + "crates/".len()..];
+    rest.split('/').next()
+}
+
+/// `hot-inline`: every non-generic hot function that a hot function of
+/// another crate calls must carry `#[inline]` (or `#[inline(always)]`).
+/// Without it a build without LTO keeps the call out of line at the crate
+/// boundary. Name-resolved edges are kept only where the call can really
+/// cross: the callee is exported (plain `pub`, or a trait method) and the
+/// caller's crate depends on the callee's ([`CRATE_DEPS`]). Only direct
+/// calls count: the body of an `#[inline]` or generic function is compiled
+/// into its callers' crates, so its own callees are called from there too,
+/// which this rule does not follow (DESIGN.md, "Inlining across crates",
+/// gives the symbol diff that does). Returns `(file index, finding)`
+/// pairs, one per callee, at its `fn` keyword.
+pub fn scan_hot_inline(
+    files: &[(&FileAst, bool)],
+    hot: &BTreeSet<FnId>,
+) -> Vec<(usize, RawFinding)> {
+    let index = Index::build(files);
+    let mut first_caller: BTreeMap<FnId, FnId> = BTreeMap::new();
+    for &caller in hot {
+        let ast = files[caller.file].0;
+        let krate = crate_of(&ast.path);
+        for callee in callees(&ast.fns[caller.idx]) {
+            for &id in index.targets(&callee) {
+                let target = files[id.file].0;
+                let f = &target.fns[id.idx];
+                let inlined = f
+                    .attrs
+                    .iter()
+                    .any(|a| a == "inline" || a == "inline ( always )");
+                if f.is_exported
+                    && !f.is_generic
+                    && !inlined
+                    && crosses(krate, crate_of(&target.path))
+                {
+                    first_caller.entry(id).or_insert(caller);
+                }
+            }
+        }
+    }
+    first_caller
+        .into_iter()
+        .map(|(id, caller)| {
+            let f = &files[id.file].0.fns[id.idx];
+            let from = &files[caller.file].0;
+            let caller_fn = &from.fns[caller.idx];
+            let caller_name = match &caller_fn.self_ty {
+                Some(ty) => format!("{ty}::{}", caller_fn.name),
+                None => caller_fn.name.clone(),
+            };
+            let note = format!(
+                "called per access from `{caller_name}` in crates/{}/; add `#[inline]` so the call can inline across the crate boundary without LTO",
+                crate_of(&from.path).unwrap_or("?")
+            );
+            let finding = RawFinding {
+                rule: "hot-inline",
+                line: f.span.line,
+                col: f.span.col,
+                note,
+            };
+            (id.file, finding)
+        })
+        .collect()
 }
 
 enum Callee {
@@ -750,6 +868,80 @@ mod tests {
         let good = "struct Cache { confidence: u8 }\n\
                     impl Cache { pub fn probe(&mut self) { self.confidence = self.confidence.saturating_add(1).min(3); } }";
         assert!(hot_findings(good).is_empty());
+    }
+
+    /// Names of the functions `hot-inline` flags over several files.
+    fn inline_findings(files: &[(&str, &str)]) -> Vec<String> {
+        let asts: Vec<FileAst> = files
+            .iter()
+            .map(|(path, src)| parse_file(path, src).expect("parses"))
+            .collect();
+        let graph: Vec<(&FileAst, bool)> = asts.iter().map(|a| (a, true)).collect();
+        let hot = hot_set(&graph);
+        scan_hot_inline(&graph, &hot)
+            .into_iter()
+            .map(|(fi, f)| {
+                let callee = asts[fi].fns.iter().find(|g| g.span.line == f.line);
+                callee.expect("finding sits on a fn").name.clone()
+            })
+            .collect()
+    }
+
+    const ENGINE: (&str, &str) = (
+        "crates/cpu/src/engine.rs",
+        "struct Engine {}\n\
+         impl Engine { pub fn step(&mut self, h: &mut Hierarchy) { h.instr_fetch(1); } }",
+    );
+
+    #[test]
+    fn cross_crate_call_without_inline_is_flagged() {
+        let mem = "struct Hierarchy {}\n\
+                   impl Hierarchy { pub fn instr_fetch(&mut self, pa: u64) {} }";
+        assert_eq!(
+            inline_findings(&[ENGINE, ("crates/mem/src/hierarchy.rs", mem)]),
+            ["instr_fetch"]
+        );
+        let inlined = "struct Hierarchy {}\n\
+                       impl Hierarchy { #[inline] pub fn instr_fetch(&mut self, pa: u64) {} }";
+        assert!(inline_findings(&[ENGINE, ("crates/mem/src/hierarchy.rs", inlined)]).is_empty());
+    }
+
+    #[test]
+    fn generic_callees_are_not_flagged() {
+        let mem = "struct Hierarchy<P> { p: P }\n\
+                   impl<P: Copy> Hierarchy<P> { pub fn instr_fetch(&mut self, pa: u64) {} }";
+        assert!(inline_findings(&[ENGINE, ("crates/mem/src/hierarchy.rs", mem)]).is_empty());
+        let mem = "pub fn instr_fetch<T: Into<u64>>(pa: T) {}";
+        assert!(inline_findings(&[ENGINE, ("crates/mem/src/hierarchy.rs", mem)]).is_empty());
+    }
+
+    #[test]
+    fn same_crate_callers_are_not_flagged() {
+        let cpu = "pub fn instr_fetch(pa: u64) {}";
+        assert!(inline_findings(&[ENGINE, ("crates/cpu/src/fetch.rs", cpu)]).is_empty());
+    }
+
+    #[test]
+    fn test_only_callees_are_not_flagged() {
+        let mem = "#[cfg(test)]\n\
+                   mod tests { pub fn instr_fetch(pa: u64) {} }";
+        assert!(inline_findings(&[ENGINE, ("crates/mem/src/hierarchy.rs", mem)]).is_empty());
+    }
+
+    #[test]
+    fn calls_that_cannot_cross_are_not_flagged() {
+        // A private function is not nameable from cpu, and policy does
+        // not depend on cpu: neither name match is a real edge.
+        let mem = "fn instr_fetch(pa: u64) {}";
+        assert!(inline_findings(&[ENGINE, ("crates/mem/src/hierarchy.rs", mem)]).is_empty());
+        let policy = "struct Lru {}\n\
+                      impl Policy<M> for Lru { fn on_hit(&mut self) { self.bump(); } }";
+        let cpu = "pub fn bump() {}";
+        assert!(inline_findings(&[
+            ("crates/policy/src/lru.rs", policy),
+            ("crates/cpu/src/bump.rs", cpu)
+        ])
+        .is_empty());
     }
 
     #[test]

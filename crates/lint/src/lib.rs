@@ -9,8 +9,9 @@
 //! * the six determinism rules ported from the retired regex scanner
 //!   (`std-time`, `entropy`, `map-iter`, `panicking-index`, `layering`,
 //!   `dispatch`) plus the `nested-vec` data-layout rule — see [`rules`];
-//! * the three hot-path rules over the call graph rooted at the
-//!   per-access entry points (`hot-alloc`, `hot-float`, `arith-width`) —
+//! * the hot-path rules over the call graph rooted at the per-access
+//!   entry points (`hot-alloc`, `hot-float`, `arith-width` on every hot
+//!   function, `hot-inline` on every hot call that crosses a crate) —
 //!   see [`hot`];
 //! * the annotation pass: `// itpx-allow: <rule> <reason>` comments
 //!   suppress findings in place, and unused or malformed annotations are
@@ -63,6 +64,7 @@ pub const ALL_RULES: &[&str] = &[
     "hot-alloc",
     "hot-float",
     "arith-width",
+    "hot-inline",
 ];
 
 /// One finding with file position and explanation.
@@ -154,7 +156,7 @@ impl Report {
 /// Which rules apply to one file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Scope {
-    /// All nine rules; participates in the call graph.
+    /// Every rule; participates in the call graph.
     Full,
     /// `std-time` + `entropy` only (bench cache path).
     CachePath,
@@ -228,6 +230,10 @@ fn analyze(inputs: &[(String, String, Scope)]) -> Result<Report, String> {
         .map(|(a, s)| (a, *s == Scope::Full && !a.path.contains("crates/trace/")))
         .collect();
     let hot = hot::hot_set(&graph_files);
+    let mut inline_findings: Vec<Vec<rules::RawFinding>> = vec![Vec::new(); asts.len()];
+    for (fi, finding) in hot::scan_hot_inline(&graph_files, &hot) {
+        inline_findings[fi].push(finding);
+    }
     let mut report = Report {
         files_scanned: asts.len(),
         hot_fns: hot.len(),
@@ -268,6 +274,7 @@ fn analyze(inputs: &[(String, String, Scope)]) -> Result<Report, String> {
                 for id in hot.iter().filter(|id| id.file == fi) {
                     raw.extend(hot::scan_hot_fn(ast, &ast.fns[id.idx]));
                 }
+                raw.append(&mut inline_findings[fi]);
             }
             Scope::CachePath => {
                 raw.extend(rules::scan_std_time(&ts));
@@ -501,6 +508,34 @@ mod tests {
                    struct Cache {}\n\
                    impl Cache { pub fn probe(&mut self, s: &mut Stats, x: f64) { s.add(x); } }\n";
         let r = analyze_one("crates/mem/src/x.rs", src);
+        assert!(r.is_clean(), "{:?} / {:?}", r.findings, r.annotation_errors);
+    }
+
+    #[test]
+    fn hot_inline_allow_suppresses_the_cross_crate_finding() {
+        let engine = "struct Engine {}\n\
+                      impl Engine { pub fn step(&mut self, h: &mut Hierarchy) { h.instr_fetch(1); } }\n";
+        let bare = "struct Hierarchy {}\n\
+                    impl Hierarchy {\n\
+                        pub fn instr_fetch(&mut self, pa: u64) {}\n\
+                    }\n";
+        let allowed = "struct Hierarchy {}\n\
+                       impl Hierarchy {\n\
+                           // itpx-allow: hot-inline large body, one call per miss\n\
+                           pub fn instr_fetch(&mut self, pa: u64) {}\n\
+                       }\n";
+        let run = |mem: &str| {
+            analyze_sources(&[
+                ("crates/cpu/src/engine.rs".to_string(), engine.to_string()),
+                ("crates/mem/src/hierarchy.rs".to_string(), mem.to_string()),
+            ])
+            .expect("analyzes")
+        };
+        let r = run(bare);
+        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
+        assert_eq!(r.findings[0].rule, "hot-inline");
+        assert_eq!(r.findings[0].path, "crates/mem/src/hierarchy.rs");
+        let r = run(allowed);
         assert!(r.is_clean(), "{:?} / {:?}", r.findings, r.annotation_errors);
     }
 

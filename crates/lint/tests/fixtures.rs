@@ -6,6 +6,11 @@
 //! so on), and its findings are compared line-for-line against the paired
 //! `<crate>__<case>.expected` file.
 //!
+//! A fixture may span crates (for the cross-crate `hot-inline` rule): a
+//! line `//@ crate <name>` starts a section analyzed as
+//! `crates/<name>/src/<case>.rs`. Each section is analyzed with the other
+//! sections' lines blanked, so reported lines are the fixture's own.
+//!
 //! Expected-file format: one `<line>:<col> <rule>` per finding, in report
 //! order (rule findings first, then `stale-allow`/`bad-allow` annotation
 //! errors). Blank lines and lines starting with `#` are comments. An empty
@@ -67,6 +72,66 @@ fn expected_lines(raw: &str) -> Vec<String> {
         .collect()
 }
 
+/// The synthetic files one fixture stands for: one per crate section,
+/// each with the other sections' lines blanked.
+fn fixture_sources(krate: &str, case: &str, src: &str) -> Vec<(String, String)> {
+    let mut owner = krate;
+    let owners: Vec<&str> = src
+        .lines()
+        .map(|line| {
+            if let Some(name) = line.trim().strip_prefix("//@ crate ") {
+                owner = name.trim();
+            }
+            owner
+        })
+        .collect();
+    let mut crates: Vec<&str> = Vec::new();
+    for &c in &owners {
+        if !crates.contains(&c) {
+            crates.push(c);
+        }
+    }
+    crates
+        .into_iter()
+        .map(|c| {
+            let text: Vec<&str> = src
+                .lines()
+                .zip(&owners)
+                .map(|(line, &o)| if o == c { line } else { "" })
+                .collect();
+            (format!("crates/{c}/src/{case}.rs"), text.join("\n"))
+        })
+        .collect()
+}
+
+#[test]
+fn crate_deps_match_the_manifests() {
+    for (krate, deps) in itpx_lint::hot::CRATE_DEPS {
+        let manifest = repo_root().join(format!("crates/{krate}/Cargo.toml"));
+        let text = fs::read_to_string(&manifest).expect("manifest reads");
+        let mut section = "";
+        let mut actual: Vec<&str> = Vec::new();
+        for line in text.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+            } else if section == "[dependencies]" {
+                if let Some(dep) = line.strip_prefix("itpx-") {
+                    actual.push(dep.split(['.', ' ', '=']).next().unwrap_or(dep));
+                }
+            }
+        }
+        let mut expected = deps.to_vec();
+        actual.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(
+            actual,
+            expected,
+            "CRATE_DEPS disagrees with {}",
+            manifest.display()
+        );
+    }
+}
+
 #[test]
 fn ast_engine_reports_a_clean_tree() {
     let report = itpx_lint::run(&repo_root()).expect("analysis runs");
@@ -126,8 +191,7 @@ fn fixtures_match_expected_findings() {
         let (krate, case) = name
             .split_once("__")
             .unwrap_or_else(|| panic!("fixture `{name}` is not named <crate>__<case>"));
-        let synthetic = format!("crates/{krate}/src/{case}.rs");
-        let report = itpx_lint::analyze_sources(&[(synthetic, src)])
+        let report = itpx_lint::analyze_sources(&fixture_sources(krate, case, &src))
             .unwrap_or_else(|e| panic!("fixture `{name}` failed to parse: {e}"));
         let actual = actual_lines(&report);
         for f in report.findings.iter().chain(&report.annotation_errors) {

@@ -184,6 +184,7 @@ impl Cache {
     /// Probes for `meta.block` at `now`. `demand` controls whether the
     /// access is recorded in the demand statistics (prefetch and writeback
     /// probes are not).
+    #[inline]
     pub fn probe(&mut self, meta: &CacheMeta, now: Cycle, demand: bool) -> Probe {
         let set = self.lines.set_of(meta.block);
         match self.lines.find_mut(set, |l| l.block == meta.block) {
@@ -215,6 +216,7 @@ impl Cache {
     /// [`Cache::probe`] on a fast-forward's warm path: the same policy
     /// hook on a hit, no time and no statistics. Returns whether
     /// `meta.block` is resident.
+    #[inline]
     pub(crate) fn warm_probe(&mut self, meta: &CacheMeta) -> bool {
         let set = self.lines.set_of(meta.block);
         let hit = self.lines.find(set, |l| l.block == meta.block);
@@ -244,6 +246,7 @@ impl Cache {
     /// displaced dirty block, if any. `demand` records the end-to-end miss
     /// latency (`ready - miss_start`). A block already resident (e.g. a
     /// racing prefetch) is only refreshed.
+    // itpx-allow: hot-inline only the difftest reference and tests call it from outside this crate; the hot edge is a name collision with the functional PSCs' `fill`
     pub fn fill(
         &mut self,
         meta: &CacheMeta,
@@ -265,6 +268,7 @@ impl Cache {
     /// [`Cache::fill`] for a block known to be absent: the miss path of
     /// the level chain, where nothing touches this level between the
     /// probe that missed and the fill, skips the second set scan.
+    #[inline]
     pub(crate) fn fill_miss(
         &mut self,
         meta: &CacheMeta,
@@ -288,6 +292,7 @@ impl Cache {
     /// [`Cache::fill_miss`] on a fast-forward's warm path: the same policy
     /// hooks and displaced dirty block, no counter and no in-flight fill,
     /// and the line is readable at once.
+    #[inline]
     pub(crate) fn warm_fill(&mut self, meta: &CacheMeta) -> Option<Writeback> {
         let victim = self.install_absent(meta, 0, false)?;
         victim.dirty.then_some(Writeback {
@@ -333,6 +338,7 @@ impl Cache {
     /// Marks `block` dirty if resident (stores; dirty writeback landing)
     /// and returns whether it was: one set scan serves both the residency
     /// test and the mark.
+    // itpx-allow: hot-inline the hot edge is a name collision with the functional reference's own cache levels
     pub fn mark_dirty(&mut self, block: u64) -> bool {
         let set = self.lines.set_of(block);
         match self.lines.find_mut(set, |l| l.block == block) {
@@ -355,6 +361,7 @@ impl Cache {
     }
 
     /// Whether `block` is resident.
+    // itpx-allow: hot-inline the hot edge is a name collision with the functional reference's own cache levels
     pub fn contains(&self, block: u64) -> bool {
         let set = self.lines.set_of(block);
         self.lines.find(set, |l| l.block == block).is_some()

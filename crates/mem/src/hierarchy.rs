@@ -416,6 +416,7 @@ impl Hierarchy {
     }
 
     /// Front-end instruction fetch of the block at `pa`.
+    #[inline]
     pub fn instr_fetch(&mut self, pa: PhysAddr, pc: u64, thread: ThreadId, now: Cycle) -> Cycle {
         let meta = Self::meta(pa, pc, FillClass::InstrPayload, false, thread);
         self.access_chain(L1I_INDEX, &meta, now, true)
@@ -423,6 +424,7 @@ impl Hierarchy {
 
     /// FDIP-style instruction prefetch issued by the front end along the
     /// fetch target queue.
+    #[inline]
     pub fn prefetch_instr(&mut self, pa: PhysAddr, thread: ThreadId, now: Cycle) {
         let meta = Self::meta(pa, 0, FillClass::InstrPayload, false, thread);
         self.prefetch_into(L1I_INDEX, meta.block, &meta, now);
@@ -430,6 +432,7 @@ impl Hierarchy {
 
     /// Data load/store to `pa`. `stlb_miss` flags an access whose
     /// translation missed the STLB (consumed by T-DRRIP).
+    #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn data_access(
         &mut self,
@@ -449,6 +452,7 @@ impl Hierarchy {
     }
 
     /// Page-walk reference to the PTE at `pa`, entering at the L2C.
+    #[inline]
     pub fn pte_access(
         &mut self,
         pa: PhysAddr,
@@ -461,12 +465,14 @@ impl Hierarchy {
     }
 
     /// [`Hierarchy::instr_fetch`] on a fast-forward's warm path.
+    #[inline]
     pub fn warm_fetch(&mut self, pa: PhysAddr, pc: u64, thread: ThreadId) {
         let meta = Self::meta(pa, pc, FillClass::InstrPayload, false, thread);
         self.warm_chain(L1I_INDEX, &meta);
     }
 
     /// [`Hierarchy::data_access`] on a fast-forward's warm path.
+    #[inline]
     pub fn warm_data(
         &mut self,
         pa: PhysAddr,
@@ -483,6 +489,7 @@ impl Hierarchy {
     }
 
     /// [`Hierarchy::pte_access`] on a fast-forward's warm path.
+    #[inline]
     pub fn warm_pte(&mut self, pa: PhysAddr, kind: TranslationKind, thread: ThreadId) {
         let meta = Self::meta(pa, 0, FillClass::pte_for(kind), false, thread);
         self.warm_chain(SHARED_INDEX, &meta);

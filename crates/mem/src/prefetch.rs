@@ -100,6 +100,7 @@ impl StridePrefetcher {
 
     /// Observes a demand access from instruction `pc` to `block`; returns
     /// blocks to prefetch (empty until a stable stride is seen).
+    #[inline]
     pub fn observe(&mut self, pc: u64, block: u64) -> StrideCandidates {
         let mut out = StrideCandidates::default();
         let idx = ((pc >> 2) as usize) & (self.table.len() - 1);

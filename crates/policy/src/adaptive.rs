@@ -36,11 +36,13 @@ impl XptpSwitch {
     }
 
     /// Current state.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
     /// Sets the state (called by the monitor at epoch boundaries).
+    // itpx-allow: hot-inline called by the monitor in this crate once per epoch; the hot edge is a name collision
     pub fn set(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
@@ -95,6 +97,7 @@ impl StlbPressureMonitor {
     /// Records `n` retired instructions; closes the epoch (comparing the
     /// miss counter to `T1` and resetting both counters) when the epoch
     /// length is reached.
+    #[inline]
     pub fn on_retire(&mut self, n: u64) {
         self.instructions += n;
         while self.instructions >= self.epoch_instructions {
@@ -110,6 +113,7 @@ impl StlbPressureMonitor {
     }
 
     /// Records one STLB miss.
+    #[inline]
     pub fn on_stlb_miss(&mut self) {
         self.misses += 1;
     }

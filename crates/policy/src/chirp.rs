@@ -78,6 +78,7 @@ impl Policy<TlbMeta> for Chirp {
         }
     }
 
+    // itpx-allow: hot-inline engine-dispatched only in unbenchmarked configurations, so it stays out of line rather than grow every dispatch site; the flagged PSC edge is a name collision (the PSCs run LRU)
     fn on_hit(&mut self, set: usize, way: usize, meta: &TlbMeta) {
         self.update_history(meta);
         self.stack.touch(set, way);

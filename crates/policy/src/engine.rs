@@ -13,15 +13,15 @@
 //! [`CachePolicyEngine::Xptp`], and T-DRRIP/T-SHiP are the
 //! translation-aware [`Drrip`]/[`Ship`].
 //!
-//! The `match` inlines into its caller, but the policy bodies behind it
-//! do not cross the crate boundary: in the release build
-//! `itpx_mem::Cache::fill`/`probe` still call `Xptp::victim`,
-//! `RecencyStack::lru`/`touch`, `Itp::on_hit` and the rest out of line.
-//! `#[inline]` on the policy hooks, `Rng64`, `SlotPool` and the stats
-//! recorders moved `server-flat` `sim_ips` by +8/+1/−8/−2% over four
-//! A/B pairs on a 2-vCPU host, which is noise; a whole-program (fat)
-//! LTO build gained +13% in the median. The gap is real, but attributes
-//! alone do not close it.
+//! The `match` inlines into its caller. The policy bodies behind it
+//! cross the crate boundary only where they carry `#[inline]`: iTP's and
+//! xPTP's hooks do, and so do `RecencyStack::lru`/`touch`, which LRU's
+//! generic hooks call, so `itpx_mem::Cache` and `itpx_vm::Tlb` inline them
+//! in a build without LTO. The other policies' hooks stay out of line; no
+//! benchmarked configuration runs them. Attributes on one layer at a time
+//! measured as noise, but on the whole per-access path at once they close
+//! most of the gap to a fat-LTO build (DESIGN.md, "Inlining across
+//! crates").
 //!
 //! The enums are generated by one macro invocation per metadata type, and
 //! the variant list is cross-checked against `itpx-core`'s registry (the

@@ -128,6 +128,7 @@ impl Itp {
 }
 
 impl Policy<TlbMeta> for Itp {
+    #[inline]
     fn on_fill(&mut self, set: usize, way: usize, meta: &TlbMeta) {
         match meta.kind {
             TranslationKind::Data => {
@@ -147,6 +148,7 @@ impl Policy<TlbMeta> for Itp {
         }
     }
 
+    #[inline]
     fn on_hit(&mut self, set: usize, way: usize, meta: &TlbMeta) {
         match meta.kind {
             TranslationKind::Instruction => {
@@ -168,6 +170,7 @@ impl Policy<TlbMeta> for Itp {
         }
     }
 
+    #[inline]
     fn victim(&mut self, set: usize, _incoming: &TlbMeta) -> usize {
         // iTP keeps LRU's eviction rule: the entry at LRUpos leaves.
         self.stack.lru(set)

@@ -20,6 +20,7 @@ pub struct TlbMeta {
 impl TlbMeta {
     /// Convenience constructor for a demand access on thread 0 with
     /// `pc == vpn`'s page base; tests and docs use this.
+    #[inline]
     pub fn demand(vpn: u64, kind: TranslationKind) -> Self {
         Self {
             vpn,

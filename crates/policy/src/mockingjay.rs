@@ -192,6 +192,7 @@ impl Policy<CacheMeta> for Mockingjay {
         self.etr.row_mut(set)[way] = self.predict(meta.pc);
     }
 
+    // itpx-allow: hot-inline engine-dispatched only in unbenchmarked configurations, so it stays out of line rather than grow every dispatch site; the flagged PSC edge is a name collision (the PSCs run LRU)
     fn on_hit(&mut self, set: usize, way: usize, meta: &CacheMeta) {
         self.tick(set);
         self.train(set, meta);

@@ -47,6 +47,7 @@ impl Policy<CacheMeta> for Ptp {
         self.stack.touch(set, way);
     }
 
+    // itpx-allow: hot-inline engine-dispatched only in unbenchmarked configurations, so it stays out of line rather than grow every dispatch site; the flagged PSC edge is a name collision (the PSCs run LRU)
     fn on_hit(&mut self, set: usize, way: usize, meta: &CacheMeta) {
         if meta.fill.is_pte() {
             self.is_pte.row_mut(set)[way] = true;

@@ -56,6 +56,7 @@ impl RecencyStack {
     }
 
     /// Number of sets.
+    // itpx-allow: hot-inline geometry accessor for set-up; the hot edge is a name collision
     pub fn sets(&self) -> usize {
         self.order.sets()
     }
@@ -80,6 +81,7 @@ impl RecencyStack {
     }
 
     /// The way currently at `LRUpos`.
+    #[inline]
     pub fn lru(&self, set: usize) -> usize {
         // order rows are built with ways >= 1 entries and never shrink
         *self.order.row(set).last().expect("non-empty stack") as usize
@@ -91,6 +93,7 @@ impl RecencyStack {
     }
 
     /// Moves `way` to `MRUpos` (classic LRU touch).
+    #[inline]
     pub fn touch(&mut self, set: usize, way: usize) {
         self.place_at_depth(set, way, 0);
     }

@@ -144,6 +144,7 @@ impl Xptp {
 }
 
 impl Policy<CacheMeta> for Xptp {
+    #[inline]
     fn on_fill(&mut self, set: usize, way: usize, meta: &CacheMeta) {
         // LRU insertion; the only addition is recording the Type bit
         // (Figure 7 step 3.1: written back when the fill completes).
@@ -154,6 +155,7 @@ impl Policy<CacheMeta> for Xptp {
         self.stack.touch(set, way);
     }
 
+    #[inline]
     fn on_hit(&mut self, set: usize, way: usize, meta: &CacheMeta) {
         // A hit by a data page walk marks the block as holding a data PTE;
         // payload hits leave the bit unchanged (a PTE block is still a PTE
@@ -169,6 +171,7 @@ impl Policy<CacheMeta> for Xptp {
         self.stack.touch(set, way);
     }
 
+    #[inline]
     fn victim(&mut self, set: usize, _incoming: &CacheMeta) -> usize {
         let protected = match &self.mode {
             Mode::Static => 0,

@@ -20,6 +20,7 @@ pub enum AccessKind {
 
 impl AccessKind {
     /// `true` for instruction fetches.
+    #[inline]
     pub const fn is_instruction(self) -> bool {
         matches!(self, AccessKind::InstrFetch)
     }
@@ -72,6 +73,7 @@ impl TranslationKind {
     }
 
     /// `true` if this is an instruction translation.
+    #[inline]
     pub const fn is_instruction(self) -> bool {
         matches!(self, TranslationKind::Instruction)
     }
@@ -99,17 +101,20 @@ pub enum FillClass {
 
 impl FillClass {
     /// `true` if the block holds page-table entries (either kind).
+    #[inline]
     pub const fn is_pte(self) -> bool {
         matches!(self, FillClass::InstrPte | FillClass::DataPte)
     }
 
     /// `true` if the block holds page-table entries for data translations —
     /// the class xPTP protects.
+    #[inline]
     pub const fn is_data_pte(self) -> bool {
         matches!(self, FillClass::DataPte)
     }
 
     /// The fill class of a page-walk reference serving `kind` translations.
+    #[inline]
     pub const fn pte_for(kind: TranslationKind) -> Self {
         match kind {
             TranslationKind::Instruction => FillClass::InstrPte,

@@ -39,21 +39,25 @@ pub struct BlockAddr(pub u64);
 
 impl VirtAddr {
     /// Creates a virtual address.
+    #[inline]
     pub const fn new(raw: u64) -> Self {
         Self(raw)
     }
 
     /// The virtual page number of this address for the given page size.
+    #[inline]
     pub const fn vpn(self, size: PageSize) -> Vpn {
         Vpn(self.0 >> size.shift())
     }
 
     /// Offset of this address within its page.
+    #[inline]
     pub const fn page_offset(self, size: PageSize) -> u64 {
         self.0 & (size.bytes() - 1)
     }
 
     /// Returns the address advanced by `bytes`.
+    #[inline]
     #[must_use]
     pub const fn offset(self, bytes: u64) -> Self {
         Self(self.0.wrapping_add(bytes))
@@ -62,11 +66,13 @@ impl VirtAddr {
 
 impl PhysAddr {
     /// Creates a physical address.
+    #[inline]
     pub const fn new(raw: u64) -> Self {
         Self(raw)
     }
 
     /// The cache block containing this address.
+    #[inline]
     pub const fn block(self) -> BlockAddr {
         BlockAddr(self.0 >> BLOCK_SHIFT << BLOCK_SHIFT)
     }
@@ -77,6 +83,7 @@ impl PhysAddr {
     }
 
     /// Returns the address advanced by `bytes`.
+    #[inline]
     #[must_use]
     pub const fn offset(self, bytes: u64) -> Self {
         Self(self.0.wrapping_add(bytes))
@@ -95,6 +102,7 @@ impl BlockAddr {
     }
 
     /// Block index (address divided by block size); useful for set hashing.
+    #[inline]
     pub const fn index(self) -> u64 {
         self.0 >> BLOCK_SHIFT
     }

@@ -28,6 +28,7 @@ const K: u64 = 0x517c_c1b7_2722_0a95;
 pub struct WordHasher(u64);
 
 impl Hasher for WordHasher {
+    // itpx-allow: hot-inline the simulator hashes integer keys through the inlined `write_u64`; this byte path is not taken per access
     fn write(&mut self, bytes: &[u8]) {
         for chunk in bytes.chunks(8) {
             let mut word = [0u8; 8];

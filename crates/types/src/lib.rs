@@ -125,6 +125,7 @@ pub enum LevelId {
 
 impl LevelId {
     /// Stable display name matching the paper's structure names.
+    // itpx-allow: hot-inline report label; the hot edge is a name collision with the policies' `name()`
     pub fn name(self) -> &'static str {
         match self {
             LevelId::L1I => "L1I",
@@ -159,6 +160,7 @@ impl LevelId {
     }
 
     /// Whether this is a per-class private L1 in front of the shared chain.
+    #[inline]
     pub fn is_private(self) -> bool {
         matches!(self, LevelId::L1I | LevelId::L1D)
     }
@@ -166,6 +168,7 @@ impl LevelId {
     /// The level at which traffic of class `fill` enters the chain:
     /// instruction payload at the L1I, data payload at the L1D, and PTE
     /// references at the L2C.
+    #[inline]
     pub fn entry_for(fill: FillClass) -> Self {
         match fill {
             FillClass::InstrPayload => LevelId::L1I,

@@ -15,6 +15,7 @@ pub enum PageSize {
 
 impl PageSize {
     /// log2 of the page size in bytes.
+    #[inline]
     pub const fn shift(self) -> u32 {
         match self {
             PageSize::Base4K => 12,
@@ -30,6 +31,7 @@ impl PageSize {
     /// Number of radix-tree levels a walk must traverse to reach the leaf
     /// PTE for this page size in a 5-level page table (4 KiB leaves live at
     /// level 1, 2 MiB leaves at level 2).
+    #[inline]
     pub const fn leaf_level(self) -> u8 {
         match self {
             PageSize::Base4K => 1,

@@ -19,6 +19,7 @@ impl OnlineMean {
     }
 
     /// Adds one sample.
+    #[inline]
     pub fn add(&mut self, sample: f64) {
         self.count += 1;
         self.sum += sample;
@@ -39,6 +40,7 @@ impl OnlineMean {
     }
 
     /// Merges another mean into this one.
+    // itpx-allow: hot-inline merges results after a run; the hot edge is a name collision with `Tlb::merge`
     pub fn merge(&mut self, other: &OnlineMean) {
         self.count += other.count;
         self.sum += other.sum;
@@ -72,6 +74,7 @@ impl Histogram {
     }
 
     /// Records one value.
+    // itpx-allow: hot-inline no simulator crate records into a histogram; the hot edge is a name collision with `StructStats::record`
     pub fn record(&mut self, value: u64) {
         let b = (64 - value.leading_zeros()).saturating_sub(1) as usize;
         let b = b.min(self.buckets.len() - 1);
@@ -165,6 +168,7 @@ impl StructStats {
     }
 
     /// Records an access of the given class; `miss` marks whether it missed.
+    #[inline]
     pub fn record(&mut self, class: FillClass, miss: bool) {
         let i = class.stat_index();
         self.accesses[i] += 1;
@@ -175,6 +179,7 @@ impl StructStats {
 
     /// Records the end-to-end latency of one miss, in cycles.
     // itpx-allow: hot-float statistics sink only; the float mean never feeds back into simulated state
+    #[inline]
     pub fn record_miss_latency(&mut self, cycles: u64) {
         self.miss_latency.add(cycles as f64);
     }
@@ -254,6 +259,7 @@ impl StructStats {
     }
 
     /// Merges counters from another structure (used to aggregate SMT runs).
+    // itpx-allow: hot-inline merges results after a run; the hot edge is a name collision with `Tlb::merge`
     pub fn merge(&mut self, other: &StructStats) {
         for i in 0..4 {
             self.accesses[i] += other.accesses[i];
@@ -283,6 +289,7 @@ impl From<&StructStats> for StructCounts {
 
 impl StructCounts {
     /// Records one access, mirroring [`StructStats::record`].
+    #[inline]
     pub fn record(&mut self, class: FillClass, miss: bool) {
         // stat_index() < 4, the counter arrays' fixed length
         self.accesses[class.stat_index()] += 1;

@@ -126,6 +126,7 @@ impl AddressSpace {
     /// # Panics
     ///
     /// Panics if `asid` does not name a tenant.
+    // itpx-allow: hot-inline per context switch, not per access
     pub fn switch_to(&mut self, asid: Asid) {
         assert!(
             (asid.0 as usize) < self.tables.len(),
@@ -165,6 +166,7 @@ impl AddressSpace {
     /// Translates `va` in the current address space: global regions route
     /// to the shared table (tag [`Asid::GLOBAL`]), everything else to the
     /// current tenant's table (tagged with its ASID).
+    #[inline]
     pub fn translate(&mut self, va: VirtAddr, kind: TranslationKind) -> Translation {
         let region = va.vpn(PageSize::Huge2M).0;
         if self.region_is_global(region) {
@@ -184,6 +186,7 @@ impl AddressSpace {
     /// promotion/demotion churn. Global regions are left untouched (their
     /// mappings must stay stable across every tenant). Returns the new
     /// state, or `None` if the region is global.
+    // itpx-allow: hot-inline per region churn event, not per access
     pub fn churn_region(&mut self, region_vpn2m: u64) -> Option<bool> {
         if self.region_is_global(region_vpn2m) {
             return None;

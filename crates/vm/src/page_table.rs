@@ -196,6 +196,7 @@ impl WalkPath {
     /// The steps remaining when the walk can start at `start_level`
     /// (because a page-structure cache supplied the node at
     /// `start_level + 1`).
+    #[inline]
     pub fn from_level(&self, start_level: u8) -> &[WalkStep] {
         let all = self.steps();
         let i = all
@@ -304,6 +305,7 @@ impl PageTable {
     /// touch (code and data live in disjoint regions in the synthetic
     /// workloads, so this matches an OS mapping code and data segments with
     /// different page sizes).
+    // itpx-allow: hot-inline the walk behind `AddressSpace::translate`, too large to copy into each caller; the flagged edge from `Engine::step` is a name collision with `System::translate`
     pub fn translate(&mut self, va: VirtAddr, kind: TranslationKind) -> Translation {
         let vpn4k = va.vpn(PageSize::Base4K).0;
         let huge = self.region_is_huge(vpn4k, kind);

@@ -68,6 +68,7 @@ impl TranslationPath {
     /// deterministic mapping (the current tenant's in multi-tenant runs);
     /// `mem` is the cache-hierarchy window the walker's PTE references go
     /// through.
+    #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn translate(
         &mut self,
@@ -161,6 +162,7 @@ impl TranslationPath {
     /// disjoint virtual pages), a mapped page keeps its translation until
     /// churn flips its region, churn invalidates the region in every TLB
     /// level, and whether a region is global depends on its address only.
+    #[inline]
     pub fn warm_translate(
         &mut self,
         space: &mut AddressSpace,
@@ -232,6 +234,7 @@ impl TranslationPath {
     /// Retargets every TLB level to `asid` — the tag-preserving half of
     /// a context switch. Pair with [`TranslationPath::flush_asid`] for
     /// flushing switches.
+    // itpx-allow: hot-inline per context switch, not per access
     pub fn set_current_asid(&mut self, asid: Asid) {
         self.itlb.set_current_asid(asid);
         self.dtlb.set_current_asid(asid);
@@ -240,6 +243,7 @@ impl TranslationPath {
 
     /// Flushes `asid`-tagged state everywhere it lives: all TLB levels
     /// and the PSC namespaces. Global entries survive by construction.
+    // itpx-allow: hot-inline per context switch, not per access
     pub fn flush_asid(&mut self, asid: Asid) {
         self.itlb.flush_asid(asid);
         self.dtlb.flush_asid(asid);
@@ -251,6 +255,7 @@ impl TranslationPath {
     /// level. PSC nodes are deliberately kept — a shootdown invalidates a
     /// leaf mapping, not the page-table interior (documented limit: real
     /// invlpg flushes paging-structure caches too).
+    // itpx-allow: hot-inline per TLB shootdown, not per access
     pub fn invalidate_page(&mut self, va: VirtAddr, asid: Asid) {
         self.itlb.invalidate_page(va, asid);
         self.dtlb.invalidate_page(va, asid);
@@ -260,6 +265,7 @@ impl TranslationPath {
     /// Invalidates a 2 MiB region in every TLB level after huge-page
     /// promotion/demotion churn. PSC nodes survive: a level-2 start is
     /// valid for both leaf sizes.
+    // itpx-allow: hot-inline per region churn event, not per access
     pub fn invalidate_region(&mut self, region_vpn2m: u64) {
         self.itlb.invalidate_region(region_vpn2m);
         self.dtlb.invalidate_region(region_vpn2m);

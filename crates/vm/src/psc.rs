@@ -24,6 +24,7 @@ const ASID_SHIFT: u32 = 48;
 /// address space: two tenants walking the same virtual page must not share
 /// page-table nodes. [`Asid::KERNEL`] (the single-tenant default) maps to
 /// the identity, so single-ASID simulations see byte-identical tags.
+#[inline]
 pub fn namespaced_vpn(vpn4k: u64, asid: Asid) -> u64 {
     debug_assert!(vpn4k < 1 << ASID_SHIFT, "VPN collides with the ASID fold");
     vpn4k | ((asid.0 as u64) << ASID_SHIFT)
@@ -32,6 +33,7 @@ pub fn namespaced_vpn(vpn4k: u64, asid: Asid) -> u64 {
 /// Recovers the address-space tag from a level-`level` PSC tag derived
 /// from a namespaced VPN (the fold sits above the VPN bits at every
 /// level, so the shift is exact).
+#[inline]
 pub fn tag_asid(tag: u64, level: u8) -> Asid {
     // itpx-allow: arith-width the shift drops the fold back to bit 0 and no VPN bits sit above it, so the tag fits u16 exactly
     Asid((tag >> (ASID_SHIFT - LEVEL_BITS * (level as u32 - 1))) as u16)
@@ -85,6 +87,7 @@ impl PageStructureCache {
     }
 
     /// Looks up the node for `vpn4k`, updating recency on hit.
+    // itpx-allow: hot-inline the hot edge is a name collision with the functional reference machine's own PSCs
     pub fn lookup(&mut self, vpn4k: u64) -> bool {
         let tag = self.tag(vpn4k);
         let hit = self.find(tag);
@@ -95,6 +98,7 @@ impl PageStructureCache {
     }
 
     /// Installs the node for `vpn4k` after a walk resolves it.
+    // itpx-allow: hot-inline the hot edge is a name collision with the functional reference machine's own PSCs
     pub fn fill(&mut self, vpn4k: u64) {
         let tag = self.tag(vpn4k);
         if self.find(tag).is_none() {
@@ -115,6 +119,7 @@ impl PageStructureCache {
     /// context switch). A level tag keeps the ASID fold above its VPN
     /// bits, so [`tag_asid`] recovers the tag's address space exactly,
     /// global entries included.
+    // itpx-allow: hot-inline per context switch, not per access
     pub fn flush_asid(&mut self, asid: Asid) {
         let level = self.level;
         self.tags.retain(|&tag| tag_asid(tag, level) != asid);
@@ -157,6 +162,7 @@ impl SplitPscs {
     /// `leaf_level` bounds the answer for huge pages: a 2 MiB walk ends at
     /// level 2, so a PSCL2 hit resolves it without memory accesses only in
     /// the sense that just the leaf remains.
+    // itpx-allow: hot-inline the hot edge is a name collision with the functional reference machine's own PSCs
     pub fn start_level(&mut self, vpn4k: u64) -> u8 {
         if self.pscl2.lookup(vpn4k) {
             2
@@ -178,6 +184,7 @@ impl SplitPscs {
     /// by reading the level-`L+1` entry. Walks for both 4 KiB (leaf 1) and
     /// 2 MiB (leaf 2) pages read every entry from the root down to at least
     /// level 2, so every PSC level can be filled in either case.
+    // itpx-allow: hot-inline the hot edge is a name collision with the functional reference machine's own PSCs
     pub fn fill(&mut self, vpn4k: u64, leaf_level: u8) {
         debug_assert!(leaf_level <= 2, "leaves live at level 1 or 2");
         self.pscl2.fill(vpn4k);
@@ -197,6 +204,7 @@ impl SplitPscs {
 
     /// Invalidates every level's nodes cached under `asid`'s namespace
     /// (the PSC half of a flushing context switch).
+    // itpx-allow: hot-inline per context switch, not per access
     pub fn flush_asid(&mut self, asid: Asid) {
         self.pscl2.flush_asid(asid);
         self.pscl3.flush_asid(asid);

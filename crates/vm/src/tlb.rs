@@ -225,6 +225,7 @@ impl Tlb {
     }
 
     /// Looks up `va`, charging the access latency. Records statistics.
+    #[inline]
     pub fn lookup(
         &mut self,
         va: VirtAddr,
@@ -248,6 +249,7 @@ impl Tlb {
     /// [`Tlb::lookup`] on a fast-forward's warm path: the same policy
     /// hook on a hit, no time and no statistics. Returns the entry that
     /// translates `va` on a hit.
+    #[inline]
     pub(crate) fn warm_lookup(
         &mut self,
         va: VirtAddr,
@@ -260,6 +262,7 @@ impl Tlb {
 
     /// If a miss for the page containing `va` is already outstanding,
     /// returns the cycle its walk completes (MSHR merge).
+    #[inline]
     pub fn merge(&mut self, va: VirtAddr, now: Cycle) -> Option<Cycle> {
         let key = va.vpn(PageSize::Base4K).0;
         match self.outstanding.find(|(k, _)| *k == key) {
@@ -271,6 +274,7 @@ impl Tlb {
     /// Allocates an MSHR for the miss, returning the cycle at which the
     /// allocation succeeds (delayed past `now` if all MSHRs are busy).
     /// The `Type` bit of the miss is stored alongside.
+    #[inline]
     pub fn mshr_alloc(&mut self, va: VirtAddr, kind: TranslationKind, now: Cycle) -> Cycle {
         let key = va.vpn(PageSize::Base4K).0;
         // Retire completed entries.
@@ -349,6 +353,7 @@ impl Tlb {
     /// `ready`; lookups before that cycle wait for it. `asid` is the tag
     /// the entry is installed under ([`Asid::GLOBAL`] for mappings shared
     /// by every address space).
+    #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn fill(
         &mut self,
@@ -381,6 +386,7 @@ impl Tlb {
     /// which the missed lookup matched, and nothing touched this level
     /// since, so `e` is absent and [`Tlb::place`]'s residency scan is
     /// skipped. Debug and `strict-contracts` builds check that.
+    #[inline]
     pub(crate) fn warm_fill(&mut self, e: Entry, kind: TranslationKind, pc: u64, thread: ThreadId) {
         if cfg!(any(debug_assertions, feature = "strict-contracts")) {
             assert!(
@@ -426,6 +432,7 @@ impl Tlb {
 
     /// Retargets lookups to `asid` (a context switch). Entries are left
     /// in place — pair with [`Tlb::flush_asid`] for flushing switches.
+    // itpx-allow: hot-inline per context switch, not per access
     pub fn set_current_asid(&mut self, asid: Asid) {
         self.current = asid;
     }
@@ -438,12 +445,14 @@ impl Tlb {
     /// eviction order among live entries is unaffected. In-flight MSHRs
     /// are untouched: a walk already in progress completes and installs
     /// under the tag captured at fill time.
+    // itpx-allow: hot-inline per context switch, not per access
     pub fn flush_asid(&mut self, asid: Asid) {
         self.entries.retain(|e| e.asid != asid);
     }
 
     /// Targeted shootdown: invalidates any entry translating `va` under
     /// exactly `asid`, probing both page-size granularities.
+    // itpx-allow: hot-inline per TLB shootdown, not per access
     pub fn invalidate_page(&mut self, va: VirtAddr, asid: Asid) {
         for size in [PageSize::Base4K, PageSize::Huge2M] {
             let vpn = va.vpn(size).0;
@@ -456,6 +465,7 @@ impl Tlb {
     /// Invalidates every entry (any tag) whose page lies inside the 2 MiB
     /// region `region_vpn2m` — the TLB half of a huge-page promotion or
     /// demotion, which changes the region's translations wholesale.
+    // itpx-allow: hot-inline per region churn event, not per access
     pub fn invalidate_region(&mut self, region_vpn2m: u64) {
         self.entries.retain(|e| match e.size {
             PageSize::Base4K => e.vpn >> 9 != region_vpn2m,
@@ -475,6 +485,7 @@ impl Tlb {
 
     /// Whether a translation for `va` at `size` is visible under the
     /// current ASID.
+    // itpx-allow: hot-inline only tests and the difftest call it; the hot edge is a name collision with the functional reference's `contains`
     pub fn contains(&self, va: VirtAddr, size: PageSize) -> bool {
         self.find(va.vpn(size).0, size, self.current).is_some()
     }
@@ -556,22 +567,26 @@ impl LastLevelTlb {
     }
 
     /// Retargets lookups in every member structure (a context switch).
+    // itpx-allow: hot-inline per context switch, not per access
     pub fn set_current_asid(&mut self, asid: Asid) {
         self.members_mut().for_each(|t| t.set_current_asid(asid));
     }
 
     /// Flushes `asid`-tagged entries from every member structure.
+    // itpx-allow: hot-inline per context switch, not per access
     pub fn flush_asid(&mut self, asid: Asid) {
         self.members_mut().for_each(|t| t.flush_asid(asid));
     }
 
     /// Targeted shootdown across every member structure.
+    // itpx-allow: hot-inline per TLB shootdown, not per access
     pub fn invalidate_page(&mut self, va: VirtAddr, asid: Asid) {
         self.members_mut().for_each(|t| t.invalidate_page(va, asid));
     }
 
     /// Invalidates a 2 MiB region in every member structure (huge-page
     /// promotion/demotion churn).
+    // itpx-allow: hot-inline per region churn event, not per access
     pub fn invalidate_region(&mut self, region_vpn2m: u64) {
         self.members_mut()
             .for_each(|t| t.invalidate_region(region_vpn2m));
