@@ -2,6 +2,7 @@
 
 use itpx_core::presets::StructureDims;
 use itpx_mem::HierarchyConfig;
+use itpx_policy::RecencyStack;
 use itpx_types::fingerprint::{Fingerprint, Fnv1a};
 use itpx_vm::page_table::HugePagePolicy;
 use itpx_vm::tlb::TlbConfig;
@@ -150,7 +151,9 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate widths or sizes.
+    /// Panics on degenerate widths or sizes, and if the ITLB, DTLB, L1I or
+    /// L1D, which always run LRU, has more ways than a
+    /// [`RecencyStack`] holds ([`RecencyStack::MAX_WAYS`]).
     pub fn validate(&self) {
         assert!(self.fetch_width > 0 && self.retire_width > 0, "zero width");
         assert!(self.rob_entries >= 16, "ROB too small");
@@ -164,6 +167,18 @@ impl SystemConfig {
             assert!(
                 self.stlb.sets.is_multiple_of(2),
                 "split STLB needs even sets"
+            );
+        }
+        for (level, ways) in [
+            ("ITLB", self.itlb.ways),
+            ("DTLB", self.dtlb.ways),
+            ("L1I", self.hierarchy.l1i.ways),
+            ("L1D", self.hierarchy.l1d.ways),
+        ] {
+            assert!(
+                ways <= RecencyStack::MAX_WAYS,
+                "{level} has {ways} ways; its LRU recency stack holds at most {}",
+                RecencyStack::MAX_WAYS
             );
         }
     }
@@ -246,6 +261,14 @@ mod tests {
     fn fdip_depth_beyond_the_nomination_slots_panics() {
         let mut c = SystemConfig::asplos25();
         c.fdip_depth = FDIP_MAX_DEPTH + 1;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "DTLB has 17 ways; its LRU recency stack holds at most 16")]
+    fn a_dtlb_wider_than_the_recency_stack_is_rejected() {
+        let mut c = SystemConfig::asplos25();
+        c.dtlb.ways = 17;
         c.validate();
     }
 

@@ -325,15 +325,25 @@ fn declares_type_params(trees: &[Tree], lo: usize, hi: usize) -> bool {
 }
 
 /// `true` when the `fn` keyword at `fn_idx` follows a plain `pub`,
-/// skipping the `const`/`unsafe`/`async` qualifiers between them.
+/// skipping the qualifiers ([`is_fn_qualifier`]) between them.
 fn declared_pub(trees: &[Tree], fn_idx: usize) -> bool {
-    let qualifier = |t: &Token| ["const", "unsafe", "async"].iter().any(|q| t.is_ident(q));
     trees[..fn_idx]
         .iter()
         .rev()
-        .find(|t| !t.token().is_some_and(qualifier))
+        .find(|t| !is_fn_qualifier(t))
         .and_then(Tree::token)
         .is_some_and(|t| t.is_ident("pub"))
+}
+
+/// `const`, `async`, `unsafe`, `extern` or an ABI string such as `"C"`:
+/// the qualifiers that may stand between a visibility and `fn`.
+fn is_fn_qualifier(t: &Tree) -> bool {
+    t.token().is_some_and(|t| {
+        t.kind == TokKind::Str
+            || ["const", "async", "unsafe", "extern"]
+                .iter()
+                .any(|q| t.is_ident(q))
+    })
 }
 
 /// Recognizes items in a tree run, recursing into module/impl/trait
@@ -437,15 +447,33 @@ fn parse_items(trees: &[Tree], ctx: &ItemCtx, ast: &mut FileAst) {
                 i = j + 1;
             }
             "use" | "extern" | "type" | "static" | "const" => {
-                // `const fn` carries into the fn branch; everything else
-                // skips to `;` (initializers of consts/statics are
-                // compile-time evaluated — no steady-state behavior).
-                if trees.get(i + 1).is_some_and(|t| t.is_ident("fn")) {
-                    i += 1;
-                    continue;
+                // `const`/`extern` qualifiers (`const unsafe fn`,
+                // `extern "C" fn`, …) carry into the fn branch with the
+                // attributes.
+                let mut j = i + 1;
+                if matches!(tok.text.as_str(), "const" | "extern") {
+                    while trees.get(j).is_some_and(is_fn_qualifier) {
+                        j += 1;
+                    }
+                    if trees.get(j).is_some_and(|t| t.is_ident("fn")) {
+                        i = j;
+                        continue;
+                    }
                 }
                 pending_attrs.clear();
-                let mut j = i + 1;
+                // An `extern "ABI" { … }` block is one brace group; its
+                // bodyless declarations hold nothing to lint.
+                if tok.text == "extern"
+                    && trees
+                        .get(j)
+                        .is_some_and(|t| t.group().is_some_and(|g| g.delim == Delim::Brace))
+                {
+                    i = j + 1;
+                    continue;
+                }
+                // Everything else skips to `;` (initializers of
+                // consts/statics are compile-time evaluated — no
+                // steady-state behavior).
                 while j < trees.len() && !trees[j].is_punct(";") {
                     j += 1;
                 }
@@ -899,6 +927,49 @@ mod tests {
     fn test_attr_survives_pub_and_async() {
         let ast = parse("#[cfg(test)]\npub async fn helper() {}\n");
         assert!(ast.fns[0].is_test);
+    }
+
+    #[test]
+    fn qualified_fns_all_parse() {
+        let ast = parse(
+            "pub const unsafe fn a() {}\n\
+             const async fn b() {}\n\
+             pub extern \"C\" fn c() {}\n\
+             pub unsafe extern \"C\" fn d() {}\n\
+             pub(crate) const unsafe extern \"C\" fn e() {}\n",
+        );
+        let parsed: Vec<(&str, bool)> = ast
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.is_exported))
+            .collect();
+        assert_eq!(
+            parsed,
+            [
+                ("a", true),
+                ("b", false),
+                ("c", true),
+                ("d", true),
+                ("e", false)
+            ]
+        );
+    }
+
+    #[test]
+    fn items_after_an_extern_block_survive() {
+        let ast = parse(
+            "extern \"C\" {\n    fn ext(x: u64) -> u64;\n    static FLAG: u8;\n}\n\
+             #[inline]\n\
+             pub fn after(a: u64) -> u64 { a }\n\
+             unsafe extern \"C\" { fn ext2(); }\n\
+             struct S { f: u64 }\n\
+             extern crate alloc;\n\
+             fn last() {}\n",
+        );
+        let names: Vec<&str> = ast.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["after", "last"]);
+        assert_eq!(ast.fns[0].attrs, ["inline"]);
+        assert_eq!(ast.fields.len(), 1);
     }
 
     #[test]

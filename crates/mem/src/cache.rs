@@ -12,7 +12,10 @@ use std::collections::BinaryHeap;
 pub struct CacheConfig {
     /// Number of sets.
     pub sets: usize,
-    /// Associativity.
+    /// Associativity: at most 64 (the validity bitmask), and at most 16
+    /// under an LRU-family policy, whose recency stack holds 16 ways
+    /// (`RecencyStack::MAX_WAYS`). The L1I and L1D always run LRU, so
+    /// `SystemConfig::validate` enforces 16 there.
     pub ways: usize,
     /// Lookup latency in cycles.
     pub latency: u64,

@@ -64,27 +64,6 @@ impl<T: Clone> SetGrid<T> {
 }
 
 impl<T> SetGrid<T> {
-    /// Creates a grid where element `i` of every row is `f(i)` — the
-    /// constructor for position-seeded rows such as an initial recency
-    /// order `0, 1, …, width - 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sets == 0` or `width == 0`.
-    pub fn from_row_fn(sets: usize, width: usize, mut f: impl FnMut(usize) -> T) -> Self {
-        assert!(sets > 0 && width > 0, "SetGrid needs sets > 0, width > 0");
-        let mut data = Vec::with_capacity(sets * width);
-        for _ in 0..sets {
-            for i in 0..width {
-                data.push(f(i));
-            }
-        }
-        Self {
-            width,
-            data: data.into_boxed_slice(),
-        }
-    }
-
     /// Number of rows (sets).
     #[inline]
     pub fn sets(&self) -> usize {
@@ -178,14 +157,6 @@ mod tests {
         assert_eq!(g.sets(), 8);
         assert_eq!(g.width(), 5);
         assert_eq!(g.row(7).len(), 5);
-    }
-
-    #[test]
-    fn from_row_fn_seeds_every_row() {
-        let g = SetGrid::from_row_fn(3, 4, |i| i as u16);
-        for set in 0..3 {
-            assert_eq!(g.row(set), &[0, 1, 2, 3]);
-        }
     }
 
     #[test]

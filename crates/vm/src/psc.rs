@@ -53,7 +53,7 @@ impl PageStructureCache {
     /// # Panics
     ///
     /// Panics if `level` is not in `2..=5`, `sets` is not a power of two,
-    /// or `ways` is zero or exceeds 64.
+    /// or `ways` is zero or exceeds 16 (the LRU recency stack's limit).
     pub fn new(level: u8, sets: usize, ways: usize) -> Self {
         assert!((2..=5).contains(&level), "PSC levels are 2..=5");
         Self {

@@ -23,7 +23,10 @@ use itpx_types::{
 pub struct TlbConfig {
     /// Number of sets.
     pub sets: usize,
-    /// Associativity.
+    /// Associativity: at most 16 under an LRU-family policy, whose
+    /// recency stack holds 16 ways (`RecencyStack::MAX_WAYS`). The ITLB
+    /// and DTLB always run LRU, so `SystemConfig::validate` enforces it
+    /// there.
     pub ways: usize,
     /// Lookup latency in cycles.
     pub latency: u64,
